@@ -54,6 +54,7 @@ from .systems import (  # noqa: F401
     corpus_generate,
     correlate_exact,
     correlate_numeric,
+    correlation_structure,
     diagonal_query,
     required_grid_size,
     single_map_query,

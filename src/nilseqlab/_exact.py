@@ -5,12 +5,19 @@ can therefore be done without rounding even when the product is far beyond
 2^53.  Every phase evaluation in the package goes through these helpers so
 that ``exp(2*pi*i * phase)`` only sees the rounding of the final fractional
 part, never the loss of the high bits of ``c * n^k``.
+
+:class:`ExactPoly` carries a polynomial with rational coefficients as one
+integer polynomial over a common denominator, so that its values and its
+fractional parts over a whole window are computed exactly, in int64 where a
+bound proves that nothing overflows and in Python integers otherwise.
 """
 
 from __future__ import annotations
 
+import math
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Sequence, Tuple
 
 import numpy as np
 
@@ -88,3 +95,88 @@ def floor_multiples(c: float, ns: np.ndarray) -> list:
     fr = Fraction(c)
     num, den = fr.numerator, fr.denominator
     return [(num * int(n)) // den for n in ns]
+
+
+_INT64_SAFE = 1 << 62
+_FLOAT_EXACT = 1 << 53
+
+
+@dataclass(frozen=True)
+class ExactPoly:
+    """The polynomial ``P(n) / denominator`` for an integer polynomial P.
+
+    ``numerators`` are the coefficients of P, constant term first, with no
+    trailing zeros; the zero polynomial has none and is falsy.
+    """
+
+    numerators: Tuple[int, ...]
+    denominator: int
+
+    @staticmethod
+    def through(samples: Sequence) -> "ExactPoly":
+        """The polynomial of degree < len(samples) taking the rational value
+        ``samples[k]`` at ``n = k``, from Newton's forward differences
+        ``P(n) = sum_k (Delta^k P)(0) n(n-1)...(n-k+1) / k!``, in integers."""
+        den = math.lcm(*(v.denominator for v in samples))
+        diffs = [v.numerator * (den // v.denominator) for v in samples]
+        top = math.factorial(len(samples) - 1)
+        nums = [0] * len(samples)
+        falling = [1]  # monomial coefficients of n(n-1)...(n-k+1)
+        for k in range(len(samples)):
+            if not any(diffs):
+                break
+            scale = diffs[0] * (top // math.factorial(k))
+            for i, f in enumerate(falling):
+                nums[i] += scale * f
+            diffs = [y - x for x, y in zip(diffs, diffs[1:])]
+            falling = [lo - k * hi for lo, hi in zip([0] + falling, falling + [0])]
+        while nums and not nums[-1]:
+            nums.pop()
+        den *= top
+        g = math.gcd(den, *nums)
+        return ExactPoly(tuple(c // g for c in nums), den // g)
+
+    def __bool__(self) -> bool:
+        return bool(self.numerators)
+
+    def _bound(self, ns: np.ndarray) -> int:
+        """``sum_k |c_k| m^k`` with ``m = max(1, max|n|)``: a bound on
+        ``|P(n)|`` and on every Horner intermediate."""
+        top = int(np.max(np.abs(ns), initial=1))
+        return sum(abs(c) * top**k for k, c in enumerate(self.numerators))
+
+    def _numerator_values(self, ns: np.ndarray) -> np.ndarray:
+        """Exact ``P(n)`` by Horner: in int64 when the bound rules out
+        overflow and the denominator is exact in float64 (so reducing by it
+        and dividing by it stay exact), in Python integers otherwise."""
+        if self._bound(ns) < _INT64_SAFE and self.denominator <= _FLOAT_EXACT:
+            xs, acc = ns, np.zeros(len(ns), dtype=np.int64)
+        else:
+            xs, acc = ns.astype(object), np.zeros(len(ns), dtype=object)
+        for c in reversed(self.numerators):
+            acc = acc * xs + c
+        return acc
+
+    def values(self, ns: np.ndarray) -> np.ndarray:
+        """Exact values of an integer-valued polynomial at the integers ns."""
+        return self._numerator_values(ns) // self.denominator
+
+    def fracs(self, ns: np.ndarray) -> np.ndarray:
+        """``frac(P(n) / den)``: ``P(n) mod den`` exactly, then one division.
+
+        The division rounds correctly, in float64 when both operands are
+        exact below 2^53 and as a Python integer quotient otherwise, so each
+        value equals ``frac_part(Fraction(P(n), den))``.
+        """
+        den = self.denominator
+        rem = self._numerator_values(ns) % den
+        if rem.dtype == np.int64:
+            return rem / den
+        return np.array([r / den for r in rem], dtype=float)
+
+    def exceeds(self, limit: int, ns: np.ndarray) -> bool:
+        """Whether ``|P(n) / den| > limit`` at some n; evaluates the window
+        only when the coefficient bound does not already rule it out."""
+        if self._bound(ns) <= limit * self.denominator:
+            return False
+        return bool(np.any(np.abs(self.values(ns)) > limit))

@@ -55,8 +55,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="output directory (default: config out_dir or cwd)")
         p.add_argument("--seed", type=int, default=None,
                        help="override the config seed")
-        p.add_argument("--threads", type=int, default=1,
-                       help="worker hint; results are thread-count independent")
         p.add_argument("--no-cache", action="store_true",
                        help="recompute even if a cached result exists")
     return parser

@@ -68,7 +68,7 @@ def build_dictionary(spec: DictionarySpec, w: Window) -> Dictionary:
     """Deterministic atom enumeration for a window.
 
     Atom order: polynomial phases in lexicographic coefficient order
-    (lowest degree fastest), then bracket atoms if enabled.
+    (highest degree fastest), then bracket atoms if enabled.
     """
     Q = spec.freq_resolution
     grid = [j / Q for j in range(Q)]

@@ -100,7 +100,7 @@ class Signal:
             if self.bound < 0:
                 raise ValueError("declared bound must be nonnegative")
             worst = float(np.max(np.abs(vals)))
-            if worst > self.bound + BOUND_TOL:
+            if not worst <= self.bound + BOUND_TOL:  # also rejects NaN
                 raise ValueError(
                     f"value of modulus {worst} exceeds declared bound {self.bound}"
                 )

@@ -13,8 +13,14 @@ Two engines evaluate ``a(n) = integral of prod_j f_j(U_j(n) x) dx`` for
 trigonometric observables f_j:
 
 * the exact engine pushes each character through the affine map
-  (``e_k o T = e^{2 pi i k.alpha} e_{A^T k}``) and keeps only the term
-  combinations whose total frequency vanishes;
+  (``e_k o T = e^{2 pi i k.alpha} e_{A^T k}``).  Along polynomial iterates
+  every pushed frequency and every phase is a polynomial in n, so each term
+  combination falls on one side of the nilsequence + null split once and
+  for all (:func:`correlation_structure`): its total frequency is either
+  identically zero, giving a polynomial-phase atom ``c e(phase(n))`` at
+  every n, or vanishes only at finitely many integers, giving spikes.  A
+  window is then evaluated in closed form, each phase ``P(n) / D`` reduced
+  mod D exactly in integers and divided once;
 * the numeric engine transforms an equispaced product grid through the same
   affine maps and averages the raw integrand, which is exact below the
   aliasing threshold and is used as an independent cross-check.
@@ -31,7 +37,7 @@ from typing import Sequence, Tuple, Union
 
 import numpy as np
 
-from ._exact import frac_part
+from ._exact import ExactPoly, frac_part
 from .errors import AliasingError, BudgetError
 from .nilmanifolds import (BracketPhase, HeisenbergElement,
                            HeisenbergObservable, HeisenbergOrbit,
@@ -392,54 +398,138 @@ def _slot_affines(q: CorrelationQuery, n: int):
     return out
 
 
-def _guard_frequency(freq: Tuple[int, ...]) -> None:
-    if any(abs(v) > FREQUENCY_GUARD for v in freq):
-        raise FrequencyOverflowError(
-            "frequency overflow: component exceeds 2^127"
-        )
+@dataclass(frozen=True)
+class TermCombination:
+    """One choice of a term from every observable.
+
+    ``coefficient`` is the product of the chosen coefficients; ``phase`` is
+    the total phase ``sum_j k_j . b_j(n)`` and ``frequency`` the components
+    of the total pushed frequency ``sum_j A_j(n)^T k_j``, as exact
+    polynomials in n.  The combination integrates to
+    ``coefficient * e(phase(n))`` where the frequency vanishes and to 0
+    elsewhere.
+    """
+
+    coefficient: complex
+    phase: ExactPoly
+    frequency: Tuple[ExactPoly, ...]
+
+    @property
+    def is_atom(self) -> bool:
+        """Frequency identically zero: a polynomial-phase (nilsequence) atom."""
+        return not any(self.frequency)
+
+    def vanishes(self, ns: np.ndarray) -> np.ndarray:
+        """Mask of the integers in ``ns`` at which the frequency is zero."""
+        mask = np.ones(len(ns), dtype=bool)
+        for component in self.frequency:
+            if component:
+                mask &= component.values(ns) == 0
+        return mask
+
+
+@dataclass(frozen=True)
+class CorrelationStructure:
+    """The nilsequence + null split of a correlation query.
+
+    ``combinations`` lists every term combination in ``itertools.product``
+    order: atoms contribute at every n, the others only at the finitely many
+    integers where their total frequency vanishes (spikes).  ``pushed``
+    holds every component of every pushed term frequency, for the 2^127
+    guard.
+    """
+
+    combinations: Tuple[TermCombination, ...]
+    pushed: Tuple[ExactPoly, ...]
+
+    @property
+    def atoms(self) -> Tuple[TermCombination, ...]:
+        return tuple(c for c in self.combinations if c.is_atom)
+
+    def spikes(self, w: Window) -> Tuple[int, ...]:
+        """The n in the window at which some non-atom combination counts."""
+        ns = w.indices()
+        hit = np.zeros(w.length, dtype=bool)
+        for comb in self.combinations:
+            if not comb.is_atom:
+                hit |= comb.vanishes(ns)
+        return tuple(int(n) for n in ns[hit])
+
+    def check_frequencies(self, ns: np.ndarray) -> None:
+        if any(poly.exceeds(FREQUENCY_GUARD, ns) for poly in self.pushed):
+            raise FrequencyOverflowError(
+                "frequency overflow: component exceeds 2^127"
+            )
+
+
+def correlation_structure(q: CorrelationQuery) -> CorrelationStructure:
+    """Atoms and spike candidates of the query, computed once for all n.
+
+    Every slot map ``prod_i T_i^{p[i][j](n)}`` has matrix entries of degree
+    at most ``(d-1) s_j`` and shift components of degree at most ``d s_j``
+    in n, where ``s_j = sum_i deg p[i][j]`` (``A^p = sum_{k<d} C(p,k) N^k``,
+    shift ``sum_{k<d} C(p,k+1) N^k alpha``).  The exact slot maps at
+    ``n = 0..D`` with ``D = d max_j s_j`` therefore determine every pushed
+    frequency and phase as a polynomial, by interpolation.  A combination
+    whose total frequency vanishes at all D+1 samples vanishes identically.
+    """
+    q.require_valid()
+    d = q.system.dimension
+    degree = d * max(sum(max(len(row[j]) - 1, 0) for row in q.iterates)
+                     for j in range(len(q.observables)))
+    samples = [_slot_affines(q, n) for n in range(degree + 1)]
+    slots = []
+    pushed: list[ExactPoly] = []
+    for j, obs in enumerate(q.observables):
+        terms = []
+        for freq, coeff in obs.terms:
+            freqs = [_mat_vec_transposed(s[j][0], freq) for s in samples]
+            phases = [sum(k * b for k, b in zip(freq, s[j][1])) for s in samples]
+            pushed.extend(ExactPoly.through(col) for col in zip(*freqs))
+            terms.append((coeff, freqs, phases))
+        slots.append(terms)
+    combinations = []
+    for combo in itertools.product(*slots):
+        const = 1.0 + 0.0j
+        for coeff, _, _ in combo:
+            const *= coeff
+        totals = [[sum(col) for col in zip(*vecs)]
+                  for vecs in zip(*(freqs for _, freqs, _ in combo))]
+        phases = [sum(col) for col in zip(*(ph for _, _, ph in combo))]
+        frequency = tuple(ExactPoly.through(col) for col in zip(*totals))
+        combinations.append(
+            TermCombination(const, ExactPoly.through(phases), frequency))
+    return CorrelationStructure(tuple(combinations), tuple(pushed))
 
 
 def correlate_exact(q: CorrelationQuery, w: Window) -> Signal:
     """Correlation sequence by exact character calculus.
 
-    For each n the integrand expands into products of pushed characters;
-    a product integrates to its constant exactly when the total frequency
-    vector vanishes, and to zero otherwise.  All frequency bookkeeping is
-    exact integer arithmetic; phases are reduced mod 1 exactly before the
-    single float exponential.
+    The query's :func:`correlation_structure` is computed once.  Each atom
+    then contributes ``c e(phase(n))`` on the whole window and every other
+    combination only at the window integers where its total frequency
+    vanishes.  A phase ``P(n) / D`` is reduced mod D exactly and divided
+    once, so the exponential sees one rounding, and the contributions are
+    summed in ``itertools.product`` order: every value is the same float the
+    per-n expansion gives.
     """
-    q.require_valid()
-    values = np.zeros(w.length, dtype=np.complex128)
-    term_lists = [obs.terms for obs in q.observables]
-    for idx, n in enumerate(range(w.start, w.end)):
-        affines = _slot_affines(q, n)
-        pushed = []
-        for (mat, shift), terms in zip(affines, term_lists):
-            slot = []
-            for freq, coeff in terms:
-                new_freq = _mat_vec_transposed(mat, freq)
-                _guard_frequency(new_freq)
-                phase = sum(Fraction(k) * s for k, s in zip(freq, shift))
-                slot.append((new_freq, coeff, phase))
-            pushed.append(slot)
-        total = 0.0 + 0.0j
-        for combo in itertools.product(*pushed):
-            freq_sum = [0] * q.system.dimension
-            for new_freq, _, _ in combo:
-                for c in range(q.system.dimension):
-                    freq_sum[c] += new_freq[c]
-            if any(freq_sum):
-                continue
-            phase = sum((item[2] for item in combo), Fraction(0))
-            const = 1.0 + 0.0j
-            for _, coeff, _ in combo:
-                const *= coeff
-            total += const * np.exp(2j * np.pi * frac_part(phase))
-        values[idx] = total
+    structure = correlation_structure(q)
+    ns = w.indices()
+    structure.check_frequencies(ns)
+    re = np.zeros(w.length)
+    im = np.zeros(w.length)
+    for comb in structure.combinations:
+        at = slice(None) if comb.is_atom else np.flatnonzero(comb.vanishes(ns))
+        e = np.exp(2j * np.pi * comb.phase.fracs(ns[at]))
+        c = comb.coefficient
+        # written out: numpy's vectorized complex product may fuse a
+        # multiply-add and differ in the last bit from the scalar product
+        re[at] += c.real * e.real - c.imag * e.imag
+        im[at] += c.real * e.imag + c.imag * e.real
     bound = 1.0
     for obs in q.observables:
         bound *= obs.bound
-    return Signal(w, values, bound)
+    return Signal(w, re + 1j * im, bound)
 
 
 def required_grid_size(q: CorrelationQuery, w: Window) -> int:
@@ -447,25 +537,18 @@ def required_grid_size(q: CorrelationQuery, w: Window) -> int:
 
     Aliasing happens when a nonzero combined frequency vector is divisible
     by G in every component; it is ruled out by taking G strictly larger
-    than every component of every nonzero combined frequency.
+    than every component of every nonzero combined frequency, i.e. than the
+    largest ``|component|`` of the non-atom total frequencies of
+    :func:`correlation_structure` over the window.
     """
-    q.require_valid()
+    structure = correlation_structure(q)
+    ns = w.indices()
+    structure.check_frequencies(ns)
     worst = 1
-    term_lists = [obs.terms for obs in q.observables]
-    for n in range(w.start, w.end):
-        affines = _slot_affines(q, n)
-        pushed = []
-        for (mat, _), terms in zip(affines, term_lists):
-            slot = []
-            for freq, _ in terms:
-                new_freq = _mat_vec_transposed(mat, freq)
-                _guard_frequency(new_freq)
-                slot.append(new_freq)
-            pushed.append(slot)
-        for combo in itertools.product(*pushed):
-            freq_sum = [sum(col) for col in zip(*combo)]
-            if any(freq_sum):
-                worst = max(worst, max(abs(v) for v in freq_sum))
+    for comb in structure.combinations:
+        for component in comb.frequency:
+            if component:
+                worst = max(worst, int(np.max(np.abs(component.values(ns)))))
     return worst + 1
 
 
@@ -511,37 +594,6 @@ def correlate_numeric(q: CorrelationQuery, w: Window, quad: QuadratureSpec,
             prod *= fval
         values[idx] = prod.mean()
     return Signal(w, values)
-
-
-def disjoint_union_correlate(queries: Sequence[CorrelationQuery], w: Window,
-                             weights: Union[Sequence[float], None] = None
-                             ) -> Signal:
-    """Correlation sequence of the disjoint-union system of several queries.
-
-    On a disjoint union of tori carrying one query per component, every
-    transformation and observable restricts componentwise, so the integral
-    splits into the weighted sum of the component integrals.  With equal
-    weights this realizes the average of the component sequences as a single
-    correlation sequence, which is what makes the sequence classes linear.
-    """
-    if not queries:
-        raise ValueError("need at least one component query")
-    slots = {len(q.observables) for q in queries}
-    if len(slots) != 1:
-        raise ValueError("all components must share the observable count")
-    if weights is None:
-        weights = [1.0 / len(queries)] * len(queries)
-    if len(weights) != len(queries):
-        raise ValueError("one weight per component required")
-    if abs(sum(weights) - 1.0) > 1e-12 or any(x < 0 for x in weights):
-        raise ValueError("weights must be a probability vector")
-    total = np.zeros(w.length, dtype=np.complex128)
-    bound = 0.0
-    for weight, q in zip(weights, queries):
-        part = correlate_exact(q, w)
-        total += weight * part.values
-        bound += weight * (part.bound if part.bound is not None else 0.0)
-    return Signal(w, total, bound)
 
 
 # ---------------------------------------------------------------------------

@@ -53,6 +53,9 @@ def test_signal_bound_validation():
     Signal(w, np.ones(4), 1.0)
     with pytest.raises(ValueError):
         Signal(w, 2.0 * np.ones(4), 1.0)
+    for bad in (np.nan, np.inf):  # non-finite values never meet a bound
+        with pytest.raises(ValueError):
+            Signal(Window(0, 3), [1.0, bad, 0.5], 1.0)
     with pytest.raises(ValueError):
         Signal(w, np.ones(3))
 

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from nilseqlab import (
     AffineToralSystem,
@@ -14,21 +17,27 @@ from nilseqlab import (
     BudgetError,
     CorrelationQuery,
     QuadratureSpec,
+    Signal,
     ToralMap,
     Window,
     character,
     corpus_generate,
     correlate_exact,
     correlate_numeric,
+    correlation_structure,
     diagonal_query,
     required_grid_size,
     single_map_query,
     skew_spike_query,
     validate_system,
 )
+from nilseqlab._exact import frac_part
 from nilseqlab.systems import (
+    FREQUENCY_GUARD,
     FrequencyOverflowError,
     TrigObservable,
+    _mat_vec_transposed,
+    _slot_affines,
     generalized_binomial,
     map_power,
     poly_eval,
@@ -306,6 +315,202 @@ def test_negative_window_supported():
     ns = np.arange(-8, 8)
     expected = np.exp(2j * np.pi * np.mod(0.125 * ns, 1.0))
     assert np.max(np.abs(sig.values - expected)) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the per-n exact engine, kept as the slow oracle of the closed-form one
+# ---------------------------------------------------------------------------
+
+def _guard_frequency(freq):
+    if any(abs(v) > FREQUENCY_GUARD for v in freq):
+        raise FrequencyOverflowError(
+            "frequency overflow: component exceeds 2^127"
+        )
+
+
+def _correlate_per_n(q: CorrelationQuery, w: Window) -> Signal:
+    """For each n, push every term through the exact slot maps, enumerate
+    the term combinations and keep those whose total frequency vanishes."""
+    q.require_valid()
+    values = np.zeros(w.length, dtype=np.complex128)
+    term_lists = [obs.terms for obs in q.observables]
+    for idx, n in enumerate(range(w.start, w.end)):
+        affines = _slot_affines(q, n)
+        pushed = []
+        for (mat, shift), terms in zip(affines, term_lists):
+            slot = []
+            for freq, coeff in terms:
+                new_freq = _mat_vec_transposed(mat, freq)
+                _guard_frequency(new_freq)
+                phase = sum(Fraction(k) * s for k, s in zip(freq, shift))
+                slot.append((new_freq, coeff, phase))
+            pushed.append(slot)
+        total = 0.0 + 0.0j
+        for combo in itertools.product(*pushed):
+            freq_sum = [0] * q.system.dimension
+            for new_freq, _, _ in combo:
+                for c in range(q.system.dimension):
+                    freq_sum[c] += new_freq[c]
+            if any(freq_sum):
+                continue
+            phase = sum((item[2] for item in combo), Fraction(0))
+            const = 1.0 + 0.0j
+            for _, coeff, _ in combo:
+                const *= coeff
+            total += const * np.exp(2j * np.pi * frac_part(phase))
+        values[idx] = total
+    bound = 1.0
+    for obs in q.observables:
+        bound *= obs.bound
+    return Signal(w, values, bound)
+
+
+def _grid_size_per_n(q: CorrelationQuery, w: Window) -> int:
+    q.require_valid()
+    worst = 1
+    term_lists = [obs.terms for obs in q.observables]
+    for n in range(w.start, w.end):
+        affines = _slot_affines(q, n)
+        pushed = []
+        for (mat, _), terms in zip(affines, term_lists):
+            slot = []
+            for freq, _ in terms:
+                new_freq = _mat_vec_transposed(mat, freq)
+                _guard_frequency(new_freq)
+                slot.append(new_freq)
+            pushed.append(slot)
+        for combo in itertools.product(*pushed):
+            freq_sum = [sum(col) for col in zip(*combo)]
+            if any(freq_sum):
+                worst = max(worst, max(abs(v) for v in freq_sum))
+    return worst + 1
+
+
+def _assert_matches_oracle(q: CorrelationQuery, w: Window) -> None:
+    try:
+        expected = _correlate_per_n(q, w)
+    except FrequencyOverflowError:
+        with pytest.raises(FrequencyOverflowError):
+            correlate_exact(q, w)
+        with pytest.raises(FrequencyOverflowError):
+            required_grid_size(q, w)
+        return
+    got = correlate_exact(q, w)
+    assert np.array_equal(got.values, expected.values)  # bit for bit
+    assert got.bound == expected.bound
+    assert required_grid_size(q, w) == _grid_size_per_n(q, w)
+
+
+def _dyadic(draw) -> float:
+    """A shift in [0, 1) with denominator up to 2^70, exact as a float."""
+    e = draw(st.integers(1, 70))
+    return draw(st.integers(0, 2 ** min(e, 53) - 1)) / 2**e
+
+
+def _window(draw, slack: int = 0) -> Window:
+    centre = draw(st.sampled_from((0, 10**6, -10**6)))
+    start = centre + draw(st.integers(-60, 60))
+    return Window(start, start + draw(st.integers(1 + slack, 40)))
+
+
+_COEFFS = st.complex_numbers(max_magnitude=2.0, allow_nan=False,
+                             allow_infinity=False)
+# coefficients with both parts nonzero: a vectorized complex product that
+# rounds differently from the scalar one shows only with these
+_GENERIC = (0.3 + 0.7j, -0.61 + 0.25j)
+_POLYS = st.lists(st.integers(-3, 3), min_size=1, max_size=3).map(tuple)
+
+
+@st.composite
+def unipotent_cases(draw):
+    """Dimension 1-3 lower-unitriangular maps (A, alpha), optionally with a
+    second map (A, alpha + t e_d); e_d spans part of ker(A - I), so the two
+    commute.  1-3 observables of 1-2 terms, iterates of degree <= 2."""
+    d = draw(st.integers(1, 3))
+    matrix = tuple(
+        tuple(1 if i == j else draw(st.integers(-2, 2)) if j < i else 0
+              for j in range(d))
+        for i in range(d)
+    )
+    alpha = tuple(_dyadic(draw) for _ in range(d))
+    maps = [ToralMap(matrix, alpha)]
+    if draw(st.booleans()):
+        maps.append(ToralMap(matrix, alpha[:-1] + (_dyadic(draw),)))
+    slots = draw(st.integers(1, 3))
+    freqs = st.tuples(*(st.integers(-3, 3) for _ in range(d)))
+    observables = tuple(
+        TrigObservable(tuple(draw(st.lists(st.tuples(freqs, _COEFFS),
+                                           min_size=1, max_size=2))))
+        for _ in range(slots)
+    )
+    iterates = tuple(tuple(draw(_POLYS) for _ in range(slots)) for _ in maps)
+    q = CorrelationQuery(AffineToralSystem(d, tuple(maps)), observables,
+                         iterates)
+    return q, _window(draw)
+
+
+@st.composite
+def spike_cases(draw):
+    """Skew pair S^{p(n)}, S^{p(n)+n} with a spike at an n* in the window,
+    optionally with a constant term in both observables (atoms + spikes)."""
+    w = _window(draw, slack=2)
+    n_star = draw(st.integers(w.start, w.end - 1))
+    k1, k2 = draw(st.integers(-3, 3)), draw(st.integers(1, 3))
+    terms = [[((k1, k2), 1.0 + 0j)], [((n_star * k2 - k1, -k2), 1.0 + 0j)]]
+    if draw(st.booleans()):
+        for slot in terms:
+            slot.append(((0, 0), draw(_COEFFS)))
+    p = draw(_POLYS)
+    p_plus_n = tuple(c + (k == 1) for k, c in enumerate(p + (0,) * (2 - len(p))))
+    q = CorrelationQuery(
+        AffineToralSystem(2, (ToralMap(SKEW, (_dyadic(draw), 0.0)),)),
+        tuple(TrigObservable(tuple(slot)) for slot in terms),
+        ((p, p_plus_n),),
+    )
+    return q, w
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(unipotent_cases(), spike_cases()))
+@example((  # phase numerator above 2^63 on the window {0}
+    CorrelationQuery(
+        AffineToralSystem.from_pairs(2, [(((1, 0), (0, 1)), (0.5, 2.0**-61))]),
+        (character((3, 1)),), (((0, 3),),)),
+    Window(0, 1)))
+@example((
+    diagonal_query(rotation_system(0.832, 0.1117),
+                   [TrigObservable((((1,), _GENERIC[0]), ((2,), _GENERIC[1]))),
+                    TrigObservable((((-1,), _GENERIC[1]), ((-2,), _GENERIC[0])))]),
+    Window(-10**6, -10**6 + 40)))
+def test_exact_engine_matches_per_n_oracle(case):
+    _assert_matches_oracle(*case)
+
+
+@pytest.mark.parametrize("offset", [990, 800])
+def test_frequency_guard_past_a_loose_bound(offset):
+    # on [1000, 1002) the iterate 2^120 (n - offset) has a coefficient bound
+    # above 2^127; the pushed y-frequency stays below the guard for
+    # offset 990 and passes it for offset 800
+    q = CorrelationQuery(
+        AffineToralSystem(2, (ToralMap(SKEW, (0.3, 0.0)),)),
+        (character((0, 1)),),
+        (((-offset * 2**120, 2**120),),),
+    )
+    _assert_matches_oracle(q, Window(1000, 1002))
+
+
+def test_correlation_structure_split():
+    w = Window(-50, 50)
+    rotation = correlation_structure(diagonal_query(
+        rotation_system(0.25, 0.125), [character((1,)), character((-1,))]))
+    assert len(rotation.combinations) == len(rotation.atoms) == 1
+    assert rotation.spikes(w) == ()
+    ns = w.indices()
+    assert np.array_equal(rotation.atoms[0].phase.fracs(ns),
+                          np.mod(0.125 * ns, 1.0))
+    spike = correlation_structure(skew_spike_query(0.37, 2, 8, 2))
+    assert spike.atoms == ()
+    assert spike.spikes(w) == (5,)
 
 
 # ---------------------------------------------------------------------------
