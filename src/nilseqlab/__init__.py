@@ -5,18 +5,15 @@ __version__ = "0.1.0"
 
 from .signals import (  # noqa: F401
     Signal,
-    SubwindowScale,
     Window,
     constant_signal,
     density_seminorm,
     inner_product,
     multiplicative_derivative,
-    read_binary,
     read_csv,
     signal_from,
     uniform_cesaro_mean,
     window_mean,
-    write_binary,
     write_csv,
 )
 from .uniformity import (  # noqa: F401

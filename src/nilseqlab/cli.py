@@ -11,30 +11,7 @@ import argparse
 import sys
 
 from .errors import BudgetError, ConfigError
-from .experiments import load_config, run_experiment
-
-# CLI spelling -> config kind
-_COMMANDS = {
-    "gowers": "gowers",
-    "correlate": "correlate",
-    "decompose": "decompose",
-    "vdc-check": "vdc-check",
-    "anti-uniformity": "anti-uniformity",
-    "interpolate-check": "interpolate-check",
-    "class-distance": "class-distance",
-    "subseq-avg": "subsequence-average",
-}
-
-_HELP = {
-    "gowers": "uniformity seminorm of a target signal",
-    "correlate": "correlation sequence of a torus system query",
-    "decompose": "structured-plus-error split against a dictionary",
-    "vdc-check": "van der Corput difference comparison",
-    "anti-uniformity": "correlation versus 4x uniformity seminorm",
-    "interpolate-check": "base-point interpolation identity check",
-    "class-distance": "distance from a signal to a sequence class",
-    "subseq-avg": "partial averages along a subsequence",
-}
+from .experiments import KINDS, load_config, run_experiment
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -48,8 +25,9 @@ def _build_parser() -> argparse.ArgumentParser:
                     "uniformity seminorms, and nilsequence dictionaries",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
-        p = sub.add_parser(name, help=_HELP[name])
+    for kind, spec in KINDS.items():
+        p = sub.add_parser(spec.command or kind, help=spec.help)
+        p.set_defaults(kind=kind)
         p.add_argument("--config", required=True, help="JSON config file")
         p.add_argument("--out", default=None,
                        help="output directory (default: config out_dir or cwd)")
@@ -62,14 +40,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    kind = _COMMANDS[args.command]
     try:
         cfg = load_config(args.config, overrides={
             "seed": args.seed,
             "out_dir": args.out,
             "use_cache": False if args.no_cache else None,
         })
-        if cfg.kind != kind:
+        if cfg.kind != args.kind:
             raise ConfigError(
                 f"config kind {cfg.kind!r} does not match subcommand "
                 f"{args.command!r}"

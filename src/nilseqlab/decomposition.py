@@ -19,8 +19,7 @@ import numpy as np
 
 from .errors import BudgetError
 from .nilmanifolds import BracketPhase, Dictionary, PolynomialPhase, eval_nilsequence
-from .signals import (ScaleLike, Signal, Window, density_seminorm,
-                      inner_product)
+from .signals import Signal, Window, density_seminorm, inner_product
 from .uniformity import GowersParams, GowersReport, ghk_seminorm
 
 BOUND_SLACK = 1e-9
@@ -137,7 +136,7 @@ def _solve_projection(a: Signal, psi: np.ndarray, ridge: float):
     return coeffs, coeffs @ psi
 
 
-def project_and_clip(a: Signal, dictionary: Dictionary, scale: ScaleLike,
+def project_and_clip(a: Signal, dictionary: Dictionary, scale: int,
                      ridge: float = 0.0, *, enforce_bound: bool = True
                      ) -> Tuple[Signal, np.ndarray]:
     """Least-squares projection in the window-mean inner product, clipped.

@@ -1,10 +1,11 @@
 """Config-driven experiment runner with deterministic caching.
 
 Every experiment is described by a JSON-compatible config (kind, window,
-per-kind params, seed).  Results are written as CSV tables and JSON reports
-plus a manifest; the SHA-256 of the canonicalized config keys a cache
-directory, and a rerun with the same config reuses the cached artifacts
-byte for byte.
+per-kind params, seed).  Each kind is one :data:`KINDS` record holding its
+param schema, its runner and its CLI entry.  Results are written as CSV
+tables and JSON reports plus a manifest; the SHA-256 of the canonicalized
+config keys a cache directory, and a rerun with the same config reuses the
+cached artifacts byte for byte.
 """
 
 from __future__ import annotations
@@ -20,33 +21,22 @@ import tempfile
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence, Union
+from typing import Callable, Mapping, Sequence, Tuple, Union
 
 import numpy as np
 
 from . import __version__
 from .decomposition import DictionarySpec, decompose
-from .errors import BudgetError, ConfigError
+from .errors import ConfigError
 from .nilmanifolds import BracketPhase, PolynomialPhase, eval_nilsequence, torus_interpolate
 from .signals import (Signal, Window, constant_signal, density_seminorm,
-                      read_csv, signal_from, window_mean, write_csv)
+                      read_csv, signal_from, write_csv)
 from .systems import (AffineToralSystem, CorrelationQuery, QuadratureSpec,
                       ToralMap, TrigObservable, corpus_generate,
                       correlate_exact, correlate_numeric)
 from .uniformity import GowersParams, anti_uniformity_ratio, ghk_seminorm, vdc_defect
 
 CACHE_ENV = "NILSEQLAB_CACHE_DIR"
-
-EXPERIMENT_KINDS = (
-    "gowers",
-    "correlate",
-    "decompose",
-    "vdc-check",
-    "anti-uniformity",
-    "interpolate-check",
-    "class-distance",
-    "subsequence-average",
-)
 
 
 def cache_root() -> Path:
@@ -62,12 +52,33 @@ def cache_root() -> Path:
 
 def _require_keys(obj: Mapping, allowed: Sequence[str], required: Sequence[str],
                   where: str) -> None:
+    if not isinstance(obj, Mapping):
+        raise ConfigError(f"{where}: must be an object")
     for key in obj:
         if key not in allowed:
             raise ConfigError(f"{where}: unknown field {key!r}")
     for key in required:
         if key not in obj:
             raise ConfigError(f"{where}: missing required field {key!r}")
+
+
+@dataclass(frozen=True)
+class ExperimentKind:
+    """Schema, runner and CLI entry of one experiment kind.
+
+    ``signals`` names the params that hold signal specs; ``check`` validates
+    what the schema cannot; ``run`` maps a config to its artifacts, ``{file
+    name: dict (JSON), Signal (CSV) or list of CSV rows}``; ``command`` is
+    the CLI spelling when it differs from the kind.
+    """
+
+    help: str
+    run: Callable[["ExperimentConfig"], dict]
+    required: Tuple[str, ...]
+    optional: Tuple[str, ...] = ()
+    signals: Tuple[str, ...] = ()
+    check: Union[Callable[[dict, str], None], None] = None
+    command: Union[str, None] = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,7 +112,7 @@ def config_from_dict(raw: Mapping, source: str = "<config>") -> ExperimentConfig
         where=source,
     )
     kind = raw["kind"]
-    if kind not in EXPERIMENT_KINDS:
+    if not isinstance(kind, str) or kind not in KINDS:
         raise ConfigError(f"{source}.kind: unknown experiment kind {kind!r}")
     win = raw["window"]
     _require_keys(win, ("start", "end"), ("start", "end"), f"{source}.window")
@@ -112,10 +123,15 @@ def config_from_dict(raw: Mapping, source: str = "<config>") -> ExperimentConfig
     seed = raw.get("seed", 0)
     if not isinstance(seed, int) or seed < 0:
         raise ConfigError(f"{source}.seed: must be a nonnegative integer")
-    params = raw["params"]
-    if not isinstance(params, Mapping):
-        raise ConfigError(f"{source}.params: must be an object")
-    params = _validate_params(kind, dict(params), f"{source}.params")
+    spec = KINDS[kind]
+    where = f"{source}.params"
+    _require_keys(raw["params"], spec.required + spec.optional, spec.required,
+                  where)
+    params = dict(raw["params"])
+    for name in spec.signals:
+        params[name] = validate_signal_spec(params[name], f"{where}.{name}")
+    if spec.check is not None:
+        spec.check(params, where)
     return ExperimentConfig(
         kind=kind,
         window=window,
@@ -238,64 +254,37 @@ def build_signal(spec: Mapping, window: Window, rng: np.random.Generator,
 
 
 # ---------------------------------------------------------------------------
-# per-kind parameter validation
+# per-kind checks beyond the param schema
 # ---------------------------------------------------------------------------
 
-def _validate_params(kind: str, params: dict, where: str) -> dict:
-    if kind == "gowers":
-        _require_keys(params, ("target", "order", "H", "L"),
-                      ("target", "order"), where)
-        params["target"] = validate_signal_spec(params["target"],
-                                                f"{where}.target")
-    elif kind == "correlate":
-        _require_keys(params,
-                      ("system", "observables", "iterates", "engine", "grid"),
-                      ("system", "observables", "iterates"), where)
-        engine = params.get("engine", "exact")
-        if engine not in ("exact", "numeric"):
-            raise ConfigError(f"{where}.engine: must be 'exact' or 'numeric'")
-        if engine == "numeric" and "grid" not in params:
-            raise ConfigError(f"{where}.grid: required for the numeric engine")
-    elif kind == "decompose":
-        _require_keys(params,
-                      ("target", "order", "epsilon", "dictionary", "H", "L"),
-                      ("target", "order", "epsilon", "dictionary"), where)
-        params["target"] = validate_signal_spec(params["target"],
-                                                f"{where}.target")
-        dic = params["dictionary"]
-        _require_keys(dic,
-                      ("step", "degrees", "Q", "include_brackets", "ridge",
-                       "budget"),
-                      ("step", "Q"), f"{where}.dictionary")
-    elif kind == "vdc-check":
-        _require_keys(params, ("target", "H"), ("target", "H"), where)
-        params["target"] = validate_signal_spec(params["target"],
-                                                f"{where}.target")
-    elif kind == "anti-uniformity":
-        _require_keys(params, ("a", "b", "order", "H", "L"),
-                      ("a", "b", "order"), where)
-        params["a"] = validate_signal_spec(params["a"], f"{where}.a")
-        params["b"] = validate_signal_spec(params["b"], f"{where}.b")
-    elif kind == "interpolate-check":
-        _require_keys(params, ("ell", "dimension", "cases"), ("cases",), where)
-    elif kind == "class-distance":
-        _require_keys(params,
-                      ("target", "family", "ell", "budget", "L", "Q"),
-                      ("target", "family", "ell", "budget"), where)
-        params["target"] = validate_signal_spec(params["target"],
-                                                f"{where}.target")
-        if params["family"] not in ("A", "B", "C"):
-            raise ConfigError(f"{where}.family: must be A, B or C")
-    elif kind == "subsequence-average":
-        _require_keys(params, ("target", "subsequence", "checkpoints"),
-                      ("target", "subsequence", "checkpoints"), where)
-        params["target"] = validate_signal_spec(params["target"],
-                                                f"{where}.target")
-        params["subsequence"] = _validate_subsequence(
-            params["subsequence"], f"{where}.subsequence")
-    else:  # pragma: no cover - guarded by kind check upstream
-        raise ConfigError(f"unhandled kind {kind!r}")
-    return params
+def _check_engine(params: dict, where: str) -> None:
+    engine = params.get("engine", "exact")
+    if engine not in ("exact", "numeric"):
+        raise ConfigError(f"{where}.engine: must be 'exact' or 'numeric'")
+    if engine == "numeric" and "grid" not in params:
+        raise ConfigError(f"{where}.grid: required for the numeric engine")
+
+
+def _check_dictionary(params: dict, where: str) -> None:
+    _require_keys(params["dictionary"],
+                  ("step", "degrees", "Q", "include_brackets", "ridge",
+                   "budget"),
+                  ("step", "Q"), f"{where}.dictionary")
+
+
+def _check_family(params: dict, where: str) -> None:
+    if params["family"] not in ("A", "B", "C"):
+        raise ConfigError(f"{where}.family: must be A, B or C")
+
+
+def _check_subsequence(params: dict, where: str) -> None:
+    where = f"{where}.subsequence"
+    raw = params["subsequence"]
+    _require_keys(raw, ("kind", "q", "r", "density"), ("kind",), where)
+    try:
+        SubsequenceSpec.from_dict(raw)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -303,13 +292,6 @@ def _validate_params(kind: str, params: dict, where: str) -> dict:
 # ---------------------------------------------------------------------------
 
 SUBSEQUENCE_KINDS = ("identity", "arithmetic", "sqrt-perturbed", "random-density")
-
-
-def _validate_subsequence(raw: Mapping, where: str) -> dict:
-    _require_keys(raw, ("kind", "q", "r", "density"), ("kind",), where)
-    if raw["kind"] not in SUBSEQUENCE_KINDS:
-        raise ConfigError(f"{where}.kind: unknown subsequence {raw['kind']!r}")
-    return dict(raw)
 
 
 @dataclass(frozen=True)
@@ -439,8 +421,7 @@ class ClassDistanceResult:
         }
 
 
-def _class_a_candidates(ell: int, window: Window, seed: int, budget: int,
-                        freq_grid: int):
+def _class_a_candidates(ell: int, window: Window, seed: int, freq_grid: int):
     yield constant_signal(0.0, window), "zero"
     if ell >= 2:
         for j in range(freq_grid):
@@ -468,7 +449,7 @@ def class_distance(target: Signal, family: str, ell: int, budget: int,
     if budget < 1:
         raise ValueError("budget must be >= 1")
     if family == "A":
-        stream = _class_a_candidates(ell, target.window, seed, budget, freq_grid)
+        stream = _class_a_candidates(ell, target.window, seed, freq_grid)
     elif family in ("B", "C"):
         def _bc_stream():
             yield constant_signal(0.0, target.window), "zero"
@@ -499,16 +480,30 @@ def class_distance(target: Signal, family: str, ell: int, budget: int,
 # runner
 # ---------------------------------------------------------------------------
 
-def _write_json(path: Path, payload) -> None:
+def _write_artifact(path: Path, payload) -> None:
+    """Write a dict as JSON, a Signal as CSV or a list of rows as CSV,
+    through a temporary file."""
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    if isinstance(payload, Signal):
+        write_csv(payload, tmp)
+    elif isinstance(payload, dict):
+        tmp.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    else:
+        with open(tmp, "w", newline="") as fh:
+            csv.writer(fh).writerows(payload)
     os.replace(tmp, path)
 
 
-def _write_signal_csv(path: Path, signal: Signal) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    write_csv(signal, tmp)
-    os.replace(tmp, path)
+def _build_signals(cfg: ExperimentConfig) -> list:
+    """The kind's signal params, built in order from one seeded generator."""
+    rng = np.random.default_rng(cfg.seed)
+    return [build_signal(cfg.params[name], cfg.window, rng, seed=cfg.seed)
+            for name in KINDS[cfg.kind].signals]
+
+
+def _gowers_params(params: Mapping) -> GowersParams:
+    return GowersParams(order=int(params["order"]),
+                        shift_count=params.get("H"), scale=params.get("L"))
 
 
 def _system_from_config(raw: Mapping, where: str) -> AffineToralSystem:
@@ -545,18 +540,13 @@ def _query_from_params(params: Mapping, where: str) -> CorrelationQuery:
         raise ConfigError(f"{where}: {exc}") from exc
 
 
-def _run_gowers(cfg: ExperimentConfig, out: Path) -> list[str]:
-    rng = np.random.default_rng(cfg.seed)
-    target = build_signal(cfg.params["target"], cfg.window, rng, seed=cfg.seed)
-    params = GowersParams(order=int(cfg.params["order"]),
-                          shift_count=cfg.params.get("H"),
-                          scale=cfg.params.get("L"))
-    report = ghk_seminorm(target, params)
-    _write_json(out / "gowers_report.json", report.to_json_dict())
-    return ["gowers_report.json"]
+def _run_gowers(cfg: ExperimentConfig) -> dict:
+    target, = _build_signals(cfg)
+    report = ghk_seminorm(target, _gowers_params(cfg.params))
+    return {"gowers_report.json": report.to_json_dict()}
 
 
-def _run_correlate(cfg: ExperimentConfig, out: Path) -> list[str]:
+def _run_correlate(cfg: ExperimentConfig) -> dict:
     query = _query_from_params(cfg.params, "params")
     engine = cfg.params.get("engine", "exact")
     if engine == "exact":
@@ -564,15 +554,13 @@ def _run_correlate(cfg: ExperimentConfig, out: Path) -> list[str]:
     else:
         signal = correlate_numeric(query, cfg.window,
                                    QuadratureSpec(int(cfg.params["grid"])))
-    _write_signal_csv(out / "correlation.csv", signal)
-    _write_json(out / "query.json",
-                {"engine": engine, "window": [cfg.window.start, cfg.window.end]})
-    return ["correlation.csv", "query.json"]
+    return {"correlation.csv": signal,
+            "query.json": {"engine": engine,
+                           "window": [cfg.window.start, cfg.window.end]}}
 
 
-def _run_decompose(cfg: ExperimentConfig, out: Path) -> list[str]:
-    rng = np.random.default_rng(cfg.seed)
-    target = build_signal(cfg.params["target"], cfg.window, rng, seed=cfg.seed)
+def _run_decompose(cfg: ExperimentConfig) -> dict:
+    target, = _build_signals(cfg)
     dic = cfg.params["dictionary"]
     spec = DictionarySpec(
         step=int(dic["step"]),
@@ -582,45 +570,33 @@ def _run_decompose(cfg: ExperimentConfig, out: Path) -> list[str]:
         ridge=dic.get("ridge"),
         budget=int(dic.get("budget", 4096)),
     )
-    gowers = GowersParams(order=int(cfg.params["order"]),
-                          shift_count=cfg.params.get("H"),
-                          scale=cfg.params.get("L"))
     report = decompose(target, int(cfg.params["order"]),
-                       float(cfg.params["epsilon"]), spec, gowers)
-    _write_json(out / "decomposition.json", report.to_json_dict())
-    _write_signal_csv(out / "a_st.csv", report.a_st)
-    _write_signal_csv(out / "a_er.csv", report.a_er)
-    return ["decomposition.json", "a_st.csv", "a_er.csv"]
+                       float(cfg.params["epsilon"]), spec,
+                       _gowers_params(cfg.params))
+    return {"decomposition.json": report.to_json_dict(),
+            "a_st.csv": report.a_st, "a_er.csv": report.a_er}
 
 
-def _run_vdc(cfg: ExperimentConfig, out: Path) -> list[str]:
-    rng = np.random.default_rng(cfg.seed)
-    target = build_signal(cfg.params["target"], cfg.window, rng, seed=cfg.seed)
+def _run_vdc(cfg: ExperimentConfig) -> dict:
+    target, = _build_signals(cfg)
     report = vdc_defect(target.values, int(cfg.params["H"]))
-    _write_json(out / "vdc.json", {
+    return {"vdc.json": {
         "lhs": report.lhs, "rhs": report.rhs, "defect": report.defect,
-    })
-    return ["vdc.json"]
+    }}
 
 
-def _run_anti_uniformity(cfg: ExperimentConfig, out: Path) -> list[str]:
-    rng = np.random.default_rng(cfg.seed)
-    a = build_signal(cfg.params["a"], cfg.window, rng, seed=cfg.seed)
-    b = build_signal(cfg.params["b"], cfg.window, rng, seed=cfg.seed)
-    params = GowersParams(order=int(cfg.params["order"]),
-                          shift_count=cfg.params.get("H"),
-                          scale=cfg.params.get("L"))
-    report = anti_uniformity_ratio(a, b, params)
-    _write_json(out / "anti_uniformity.json", {
+def _run_anti_uniformity(cfg: ExperimentConfig) -> dict:
+    a, b = _build_signals(cfg)
+    report = anti_uniformity_ratio(a, b, _gowers_params(cfg.params))
+    return {"anti_uniformity.json": {
         "correlation": report.correlation,
         "bound": report.bound,
         "ratio": None if math.isinf(report.ratio) else report.ratio,
         "unbounded": report.unbounded,
-    })
-    return ["anti_uniformity.json"]
+    }}
 
 
-def _run_interpolate_check(cfg: ExperimentConfig, out: Path) -> list[str]:
+def _run_interpolate_check(cfg: ExperimentConfig) -> dict:
     rng = np.random.default_rng(cfg.seed)
     cases = int(cfg.params["cases"])
     ells = [int(cfg.params["ell"])] if "ell" in cfg.params else [2, 3, 4, 5]
@@ -638,50 +614,63 @@ def _run_interpolate_check(cfg: ExperimentConfig, out: Path) -> list[str]:
                                       1.0 - np.abs(recovered - g))))
         worst = max(worst, err)
         rows.append({"case": i, "ell": ell, "dimension": d, "error": err})
-    _write_json(out / "interpolation.json",
-                {"cases": rows, "max_error": worst})
-    return ["interpolation.json"]
+    return {"interpolation.json": {"cases": rows, "max_error": worst}}
 
 
-def _run_class_distance(cfg: ExperimentConfig, out: Path) -> list[str]:
-    rng = np.random.default_rng(cfg.seed)
-    target = build_signal(cfg.params["target"], cfg.window, rng, seed=cfg.seed)
+def _run_class_distance(cfg: ExperimentConfig) -> dict:
+    target, = _build_signals(cfg)
     scale = int(cfg.params.get("L", cfg.window.length))
     result = class_distance(
         target, cfg.params["family"], int(cfg.params["ell"]),
         int(cfg.params["budget"]), scale, seed=cfg.seed,
         freq_grid=int(cfg.params.get("Q", 64)),
     )
-    _write_json(out / "class_distance.json", result.to_json_dict())
-    return ["class_distance.json"]
+    return {"class_distance.json": result.to_json_dict()}
 
 
-def _run_subsequence_average(cfg: ExperimentConfig, out: Path) -> list[str]:
-    rng = np.random.default_rng(cfg.seed)
-    target = build_signal(cfg.params["target"], cfg.window, rng, seed=cfg.seed)
+def _run_subsequence_average(cfg: ExperimentConfig) -> dict:
+    target, = _build_signals(cfg)
     spec = SubsequenceSpec.from_dict(cfg.params["subsequence"])
     table = subsequence_average(target, spec, cfg.params["checkpoints"],
                                 seed=cfg.seed)
-    _write_json(out / "subsequence_average.json", table.to_json_dict())
-    tmp = out / "partial_averages.csv.tmp"
-    with open(tmp, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["N", "re", "im"])
-        for n, v in zip(table.checkpoints, table.averages):
-            writer.writerow([int(n), repr(v.real), repr(v.imag)])
-    os.replace(tmp, out / "partial_averages.csv")
-    return ["subsequence_average.json", "partial_averages.csv"]
+    rows = [["N", "re", "im"]]
+    rows += [[int(n), repr(v.real), repr(v.imag)]
+             for n, v in zip(table.checkpoints, table.averages)]
+    return {"subsequence_average.json": table.to_json_dict(),
+            "partial_averages.csv": rows}
 
 
-_RUNNERS = {
-    "gowers": _run_gowers,
-    "correlate": _run_correlate,
-    "decompose": _run_decompose,
-    "vdc-check": _run_vdc,
-    "anti-uniformity": _run_anti_uniformity,
-    "interpolate-check": _run_interpolate_check,
-    "class-distance": _run_class_distance,
-    "subsequence-average": _run_subsequence_average,
+KINDS: dict[str, ExperimentKind] = {
+    "gowers": ExperimentKind(
+        "uniformity seminorm of a target signal", _run_gowers,
+        required=("target", "order"), optional=("H", "L"),
+        signals=("target",)),
+    "correlate": ExperimentKind(
+        "correlation sequence of a torus system query", _run_correlate,
+        required=("system", "observables", "iterates"),
+        optional=("engine", "grid"), check=_check_engine),
+    "decompose": ExperimentKind(
+        "structured-plus-error split against a dictionary", _run_decompose,
+        required=("target", "order", "epsilon", "dictionary"),
+        optional=("H", "L"), signals=("target",), check=_check_dictionary),
+    "vdc-check": ExperimentKind(
+        "van der Corput difference comparison", _run_vdc,
+        required=("target", "H"), signals=("target",)),
+    "anti-uniformity": ExperimentKind(
+        "correlation versus 4x uniformity seminorm", _run_anti_uniformity,
+        required=("a", "b", "order"), optional=("H", "L"),
+        signals=("a", "b")),
+    "interpolate-check": ExperimentKind(
+        "base-point interpolation identity check", _run_interpolate_check,
+        required=("cases",), optional=("ell", "dimension")),
+    "class-distance": ExperimentKind(
+        "distance from a signal to a sequence class", _run_class_distance,
+        required=("target", "family", "ell", "budget"), optional=("L", "Q"),
+        signals=("target",), check=_check_family),
+    "subsequence-average": ExperimentKind(
+        "partial averages along a subsequence", _run_subsequence_average,
+        required=("target", "subsequence", "checkpoints"),
+        signals=("target",), check=_check_subsequence, command="subseq-avg"),
 }
 
 
@@ -712,7 +701,9 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
     started = time.perf_counter()
     with tempfile.TemporaryDirectory(prefix="nilseqlab-") as tmp:
         tmp_path = Path(tmp)
-        artifacts = _RUNNERS[cfg.kind](cfg, tmp_path)
+        artifacts = KINDS[cfg.kind].run(cfg)
+        for name, payload in artifacts.items():
+            _write_artifact(tmp_path / name, payload)
         manifest = {
             "config_hash": digest,
             "config": json.loads(cfg.canonical()),
@@ -724,7 +715,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
             },
             "wall_time_s": round(time.perf_counter() - started, 6),
         }
-        _write_json(tmp_path / "manifest.json", manifest)
+        _write_artifact(tmp_path / "manifest.json", manifest)
         names = sorted(p.name for p in tmp_path.iterdir())
         if cfg.use_cache:
             cache_root().mkdir(parents=True, exist_ok=True)

@@ -47,15 +47,6 @@ class HeisenbergElement:
     def inverse(self) -> "HeisenbergElement":
         return HeisenbergElement(-self.x, -self.y, -self.z + self.x * self.y)
 
-    @staticmethod
-    def identity() -> "HeisenbergElement":
-        return HeisenbergElement(0.0, 0.0, 0.0)
-
-    def as_matrix(self) -> np.ndarray:
-        return np.array(
-            [[1.0, self.x, self.z], [0.0, 1.0, self.y], [0.0, 0.0, 1.0]]
-        )
-
 
 def heis_pow(g: HeisenbergElement, n: int) -> HeisenbergElement:
     """n-th group power in closed form: ``(n x, n y, n z + C(n,2) x y)``.

@@ -5,21 +5,19 @@ A :class:`Signal` is a dense array of complex values on a half-open window
 ``[start, end)``.  Averages in the regime "window length to infinity,
 uniformly in the left endpoint" are proxied at a finite scale ``L`` by a
 maximum over all length-``L`` subwindows; ``L`` is always an explicit
-parameter (:class:`SubwindowScale`).
+integer parameter.
 """
 
 from __future__ import annotations
 
 import csv
-import struct
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Union
 
 import numpy as np
 
 BOUND_TOL = 1e-12
-
-_BINARY_MAGIC = b"NSEQ1"
+_INT64_MAX = 2**63 - 1
 
 
 @dataclass(frozen=True)
@@ -32,6 +30,8 @@ class Window:
     def __post_init__(self) -> None:
         if self.end <= self.start:
             raise ValueError(f"empty window [{self.start}, {self.end})")
+        if max(abs(self.start), abs(self.end)) > _INT64_MAX:
+            raise ValueError("window ends must satisfy |n| <= 2^63 - 1")
 
     @property
     def length(self) -> int:
@@ -49,22 +49,8 @@ class Window:
         return self.start <= n < self.end
 
 
-@dataclass(frozen=True)
-class SubwindowScale:
-    """Length of the subwindows standing in for the infinite-average limit."""
-
-    length: int
-
-    def __post_init__(self) -> None:
-        if self.length < 1:
-            raise ValueError("subwindow scale must be >= 1")
-
-
-ScaleLike = Union[SubwindowScale, int]
-
-
-def _scale_length(scale: ScaleLike, window: Window) -> int:
-    length = scale.length if isinstance(scale, SubwindowScale) else int(scale)
+def _scale_length(scale: int, window: Window) -> int:
+    length = int(scale)
     if length < 1:
         raise ValueError("subwindow scale must be >= 1")
     if length > window.length:
@@ -109,11 +95,6 @@ class Signal:
     def sup_norm(self) -> float:
         return float(np.max(np.abs(self.values)))
 
-    def value_at(self, n: int) -> complex:
-        if not self.window.contains(n):
-            raise ValueError(f"index {n} outside window")
-        return complex(self.values[n - self.window.start])
-
     def conj(self) -> "Signal":
         return Signal(self.window, np.conj(self.values), self.bound)
 
@@ -142,19 +123,9 @@ class Signal:
             bound = self.bound + other.bound
         return Signal(self.window, self.values - other.values, bound)
 
-    def __neg__(self) -> "Signal":
-        return Signal(self.window, -self.values, self.bound)
-
     def scale(self, c: complex) -> "Signal":
         bound = None if self.bound is None else abs(c) * self.bound
         return Signal(self.window, c * self.values, bound)
-
-    def pointwise_mul(self, other: "Signal") -> "Signal":
-        self._require_same_window(other)
-        bound = None
-        if self.bound is not None and other.bound is not None:
-            bound = self.bound * other.bound
-        return Signal(self.window, self.values * other.values, bound)
 
 
 def signal_from(fn: Callable[[np.ndarray], Iterable[complex]], window: Window,
@@ -186,7 +157,7 @@ def sliding_window_sums(values: np.ndarray, length: int) -> np.ndarray:
     return prefix[length:] - prefix[:-length]
 
 
-def uniform_cesaro_mean(a: Signal, scale: ScaleLike) -> float:
+def uniform_cesaro_mean(a: Signal, scale: int) -> float:
     """Max over all length-L subwindows of the absolute subwindow mean.
 
     Finite stand-in for the uniform Cesaro limit; the value lies in
@@ -198,14 +169,14 @@ def uniform_cesaro_mean(a: Signal, scale: ScaleLike) -> float:
     return float(np.max(np.abs(sums))) / L
 
 
-def density_seminorm(a: Signal, scale: ScaleLike) -> float:
+def density_seminorm(a: Signal, scale: int) -> float:
     """Square root of the worst length-L subwindow mean of ``|a|^2``."""
     L = _scale_length(scale, a.window)
     sums = sliding_window_sums(np.abs(a.values) ** 2, L)
     return float(np.sqrt(np.max(sums) / L))
 
 
-def inner_product(a: Signal, b: Signal, scale: ScaleLike) -> complex:
+def inner_product(a: Signal, b: Signal, scale: int) -> complex:
     """Mean of ``a(n) * conj(b(n))`` over the intersection of the windows.
 
     The intersection must contain at least L points.  Conjugate symmetry
@@ -214,7 +185,7 @@ def inner_product(a: Signal, b: Signal, scale: ScaleLike) -> complex:
     shared = a.window.intersect(b.window)
     if shared is None:
         raise ValueError("windows do not intersect")
-    L = scale.length if isinstance(scale, SubwindowScale) else int(scale)
+    L = int(scale)
     if shared.length < L:
         raise ValueError(
             f"window intersection has {shared.length} points, fewer than L={L}"
@@ -242,7 +213,7 @@ def multiplicative_derivative(a: Signal, h: int) -> Signal:
 
 
 # ---------------------------------------------------------------------------
-# serialization: CSV (n, re, im) and a little binary cache format
+# serialization: CSV (n, re, im)
 # ---------------------------------------------------------------------------
 
 def write_csv(a: Signal, path) -> None:
@@ -271,28 +242,3 @@ def read_csv(path) -> Signal:
         raise ValueError("CSV indices are not consecutive")
     return Signal(Window(start, end), np.array(vals))
 
-
-def write_binary(a: Signal, path) -> None:
-    """Binary cache format: magic ``NSEQ1``, little-endian i64 start and end,
-    then one little-endian (f64 re, f64 im) pair per sample."""
-    with open(path, "wb") as fh:
-        fh.write(_BINARY_MAGIC)
-        fh.write(struct.pack("<qq", a.window.start, a.window.end))
-        interleaved = np.empty(2 * a.window.length, dtype="<f8")
-        interleaved[0::2] = a.values.real
-        interleaved[1::2] = a.values.imag
-        fh.write(interleaved.tobytes())
-
-
-def read_binary(path) -> Signal:
-    with open(path, "rb") as fh:
-        magic = fh.read(5)
-        if magic != _BINARY_MAGIC:
-            raise ValueError(f"bad magic {magic!r}")
-        start, end = struct.unpack("<qq", fh.read(16))
-        n = end - start
-        raw = np.frombuffer(fh.read(16 * n), dtype="<f8")
-        if raw.size != 2 * n:
-            raise ValueError("truncated binary signal file")
-    vals = raw[0::2] + 1j * raw[1::2]
-    return Signal(Window(start, end), vals)

@@ -52,7 +52,7 @@ Matrix = Tuple[Tuple[int, ...], ...]
 IntPoly = Tuple[int, ...]
 
 
-class FrequencyOverflowError(OverflowError):
+class FrequencyOverflowError(BudgetError):
     """Frequency bookkeeping exceeded the 2^127 sanity guard."""
 
 

@@ -20,7 +20,7 @@ from typing import Tuple, Union
 
 import numpy as np
 
-from .signals import Signal, SubwindowScale, inner_product
+from .signals import Signal, inner_product, sliding_window_sums
 
 MAX_ORDER = 6
 _BRUTE_MAX_N = 64
@@ -38,7 +38,7 @@ class GowersParams:
 
     order: int
     shift_count: Union[int, None] = None
-    scale: Union[SubwindowScale, int, None] = None
+    scale: Union[int, None] = None
 
     def __post_init__(self) -> None:
         if not 1 <= self.order <= MAX_ORDER:
@@ -56,8 +56,6 @@ class GowersParams:
         L = self.scale
         if L is None:
             L = window_length - (self.order - 1) * H
-        elif isinstance(L, SubwindowScale):
-            L = L.length
         if L < 1:
             raise ValueError("resolved base scale L < 1")
         if L + (self.order - 1) * H > window_length:
@@ -96,8 +94,7 @@ class GowersReport:
 def _seminorm_recursive(values: np.ndarray, level: int, H: int, L: int,
                         collected: list) -> float:
     if level == 1:
-        prefix = np.concatenate((np.zeros(1, dtype=values.dtype), np.cumsum(values)))
-        sums = prefix[L:] - prefix[:-L]
+        sums = sliding_window_sums(values, L)
         return float(np.max(np.abs(sums))) / L
     powers = np.empty(H, dtype=float)
     inner_exp = 2 ** (level - 1)

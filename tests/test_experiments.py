@@ -23,7 +23,7 @@ from nilseqlab import (
     window_mean,
 )
 from nilseqlab.cli import main as cli_main
-from nilseqlab.experiments import SubsequenceSpec, build_signal, load_config
+from nilseqlab.experiments import KINDS, SubsequenceSpec, build_signal, load_config
 
 
 @pytest.fixture(autouse=True)
@@ -377,3 +377,111 @@ def test_cli_seed_override_changes_hash(tmp_path, capsys):
     ja = json.loads((tmp_path / "a" / "vdc.json").read_text())
     jb = json.loads((tmp_path / "b" / "vdc.json").read_text())
     assert ja != jb
+
+
+def run_cli(tmp_path, raw, out="out") -> int:
+    """Run a config through the CLI under its kind's registered command."""
+    command = KINDS[raw["kind"]].command or raw["kind"]
+    return cli_main([command, "--config", write_config(tmp_path, raw),
+                     "--out", str(tmp_path / out)])
+
+
+ROTATIONS = {
+    "system": {"dimension": 1,
+               "transformations": [{"matrix": [[1]], "alpha": [0.25]},
+                                   {"matrix": [[1]], "alpha": [0.5]}]},
+    "observables": [[{"k": [1]}], [{"k": [-1]}]],
+    "iterates": [[[0, 1], [0]], [[0], [0, 1]]],
+}
+
+# one small config (params, window end) per experiment kind
+KIND_CONFIGS = {
+    "gowers": ({"target": {"kind": "constant"}, "order": 2, "H": 8}, 64),
+    "correlate": (ROTATIONS, 16),
+    "decompose": ({"target": {"kind": "linear_phase", "alpha": 0.25},
+                   "order": 2, "epsilon": 0.1, "H": 8,
+                   "dictionary": {"step": 1, "Q": 8}}, 64),
+    "vdc-check": ({"target": {"kind": "alternating"}, "H": 8}, 64),
+    "anti-uniformity": ({"a": {"kind": "noise"}, "b": {"kind": "noise"},
+                         "order": 2, "H": 8}, 64),
+    "interpolate-check": ({"cases": 4}, 8),
+    "class-distance": ({"target": {"kind": "linear_phase", "alpha": 0.125},
+                        "family": "B", "ell": 2, "budget": 4, "Q": 8}, 64),
+    "subsequence-average": ({"target": {"kind": "alternating"},
+                             "subsequence": {"kind": "random-density",
+                                             "density": 0.5},
+                             "checkpoints": [4, 8]}, 64),
+}
+
+
+def test_kind_configs_cover_the_registry():
+    assert KIND_CONFIGS.keys() == KINDS.keys()
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_every_kind_runs_under_its_command(kind, tmp_path, capsys):
+    params, end = KIND_CONFIGS[kind]
+    raw = base_config(kind, params, end=end, seed=1)
+    printed = []
+    for out in ("first", "second"):
+        assert run_cli(tmp_path, raw, out) == 0
+        printed.append(capsys.readouterr().out.splitlines())
+    assert "[computed]" in printed[0][0] and "[cache]" in printed[1][0]
+    names = [line.strip() for line in printed[0][1:]]
+    manifest = json.loads((tmp_path / "first" / "manifest.json").read_text())
+    assert names == sorted(manifest["artifacts"] + ["manifest.json"])
+    assert printed[1][1:] == printed[0][1:]
+    for name in names:
+        assert ((tmp_path / "first" / name).read_bytes()
+                == (tmp_path / "second" / name).read_bytes()), name
+
+
+@pytest.mark.parametrize("kind,field,value", [
+    ("gowers", "window", 5),
+    ("subsequence-average", "subsequence", 5),
+    ("decompose", "dictionary", [1, 2]),
+    ("correlate", "system", 5),
+])
+def test_cli_non_object_value_exit_2(kind, field, value, tmp_path, capsys):
+    params, end = KIND_CONFIGS[kind]
+    raw = base_config(kind, params, end=end)
+    if field == "window":
+        raw["window"] = value
+    else:
+        raw["params"] = dict(params, **{field: value})
+    assert run_cli(tmp_path, raw) == 2
+    assert "must be an object" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("start", [2**63 - 1, -2**63])
+def test_cli_window_outside_int64_exit_2(start, tmp_path, capsys):
+    raw = base_config("correlate", ROTATIONS, start=start, end=start + 4)
+    assert run_cli(tmp_path, raw) == 2
+    assert "2^63" in capsys.readouterr().err
+
+
+def test_cli_frequency_guard_exit_3(tmp_path, capsys):
+    raw = base_config("correlate", {
+        "system": {"dimension": 3, "transformations": [
+            {"matrix": [[1, 0, 0], [1, 1, 0], [0, 1, 1]],
+             "alpha": [0.5, 0.25, 0]}]},
+        "observables": [[{"k": [1, 1, 1]}], [{"k": [0, 0, 1]}]],
+        "iterates": [[[0, 0, 1], [0, 1]]],
+    }, start=2**40, end=2**40 + 4)
+    assert run_cli(tmp_path, raw) == 3
+    assert "budget error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("subsequence", [
+    {"kind": "arithmetic", "q": 0},
+    {"kind": "random-density", "density": 2},
+    {"kind": "random-density"},
+    {"kind": "fibonacci"},
+    {"kind": "arithmetic", "q": "two"},
+])
+def test_cli_bad_subsequence_exit_2(subsequence, tmp_path, capsys):
+    params, end = KIND_CONFIGS["subsequence-average"]
+    raw = base_config("subsequence-average",
+                      dict(params, subsequence=subsequence), end=end)
+    assert run_cli(tmp_path, raw) == 2
+    assert "params.subsequence" in capsys.readouterr().err
