@@ -17,11 +17,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence, Tuple
+from typing import Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
 _FAST_DENOMINATOR = 1 << 20
+_INT64_SAFE = 1 << 62
+_FLOAT_EXACT = 1 << 53
 
 
 def frac_part(value: Fraction) -> float:
@@ -54,6 +56,16 @@ def frac_multiples(c: float, multipliers) -> np.ndarray:
     return _frac_multiples_big(num, den, multipliers)
 
 
+def mod1(values: np.ndarray) -> np.ndarray:
+    """``np.mod(values, 1.0)`` bit for bit, at a fraction of its cost.
+
+    Both round the exact value ``x - floor(x)`` once: ``np.mod`` adds 1 to
+    the exact ``fmod(x, 1)`` when that is negative, and a zero result is +0
+    either way.
+    """
+    return values - np.floor(values)
+
+
 def _power_multipliers(ns: np.ndarray, k: int):
     """``n^k`` as an int64 array when safe, else a list of Python ints."""
     if k == 0:
@@ -69,20 +81,27 @@ def _power_multipliers(ns: np.ndarray, k: int):
     return [int(n) ** k for n in ns]
 
 
-def poly_phase_fracs(coefficients: Sequence[float], ns: np.ndarray) -> np.ndarray:
+def poly_phase_fracs(coefficients: Sequence[float], ns: np.ndarray,
+                     rows: Optional[dict] = None) -> np.ndarray:
     """Fractional parts of ``p(n) = sum_k c_k n^k``, each term reduced exactly.
 
     ``coefficients[k]`` multiplies ``n^k``.  Terms are reduced mod 1
     individually and summed in float; the sum of at most a handful of values
-    in [0, 1) loses nothing that matters at 1e-12 tolerances.
+    in [0, 1) loses nothing that matters at 1e-12 tolerances.  ``rows``
+    caches each term row ``frac(c n^k)`` under ``(k, c)``, so that phases
+    sharing a coefficient on the same ``ns`` compute it once; the sums are
+    the same either way.
     """
     ns = np.asarray(ns, dtype=np.int64)
+    rows = {} if rows is None else rows
     total = np.zeros(len(ns), dtype=float)
     for k, c in enumerate(coefficients):
         if c == 0.0:
             continue
-        total += frac_multiples(c, _power_multipliers(ns, k))
-    return np.mod(total, 1.0)
+        if (k, c) not in rows:
+            rows[k, c] = frac_multiples(c, _power_multipliers(ns, k))
+        total += rows[k, c]
+    return mod1(total)
 
 
 def unit_phases(fracs: np.ndarray) -> np.ndarray:
@@ -90,15 +109,26 @@ def unit_phases(fracs: np.ndarray) -> np.ndarray:
     return np.exp(2j * np.pi * fracs)
 
 
-def floor_multiples(c: float, ns: np.ndarray) -> list:
-    """``floor(c * n)`` for each integer n, exact (Python ints)."""
-    fr = Fraction(c)
+def _max_abs(values: np.ndarray) -> int:
+    return int(np.max(np.abs(values), initial=0))
+
+
+def bracket_multipliers(alpha: float, ns: np.ndarray):
+    """``n * floor(alpha * n)`` for each integer n, exact: an int64 array
+    when every intermediate stays below 2^62, else a list of Python ints."""
+    fr = Fraction(alpha)
     num, den = fr.numerator, fr.denominator
-    return [(num * int(n)) // den for n in ns]
+    top = max(1, _max_abs(ns))
+    if abs(num) * top < _INT64_SAFE and den < _INT64_SAFE:
+        floors = (num * ns) // den
+        if top * _max_abs(floors) < _INT64_SAFE:
+            return ns * floors
+    return [int(n) * ((num * int(n)) // den) for n in ns]
 
 
-_INT64_SAFE = 1 << 62
-_FLOAT_EXACT = 1 << 53
+def phase_denominator(coefficients: Iterable[float]) -> int:
+    """Common denominator of the coefficients (each a dyadic rational)."""
+    return max((float(c).as_integer_ratio()[1] for c in coefficients), default=1)
 
 
 @dataclass(frozen=True)

@@ -18,8 +18,10 @@ from typing import Tuple, Union
 import numpy as np
 
 from .errors import BudgetError
-from .nilmanifolds import BracketPhase, Dictionary, PolynomialPhase, eval_nilsequence
-from .signals import Signal, Window, density_seminorm, inner_product
+from ._exact import phase_denominator, unit_phases
+from .nilmanifolds import (BracketPhase, Dictionary, HeisenbergOrbit, PolynomialPhase,
+                           eval_nilsequence, phase_fracs)
+from .signals import Signal, Window, density_seminorm
 from .uniformity import GowersParams, GowersReport, ghk_seminorm
 
 BOUND_SLACK = 1e-9
@@ -92,11 +94,37 @@ def build_dictionary(spec: DictionarySpec, w: Window) -> Dictionary:
 
 
 def atom_matrix(dictionary: Dictionary, w: Window) -> np.ndarray:
-    """Rows are the dictionary atoms evaluated on the window."""
-    out = np.empty((len(dictionary), w.length), dtype=np.complex128)
+    """Rows are the dictionary atoms evaluated on the window.
+
+    Each row is bit-identical to :func:`eval_nilsequence` of its atom.
+    Phase atoms share their exact term rows ``frac(c n^k)`` and bracket
+    multipliers ``n floor(alpha n)`` (:func:`phase_fracs`), and each row
+    takes the same sums and ``mod 1`` as a lone atom.  When every phase
+    coefficient of an atom has a denominator ``D`` no larger than the
+    window, every phase is an exact multiple of ``1/D`` and its exponential
+    is read from the ``D`` roots ``exp(2 pi i r/D)``, computed by the same
+    ``exp`` from the same floats ``r/D``.
+    """
+    ns = w.indices()
+    psi = np.empty((len(dictionary), w.length), dtype=np.complex128)
+    rows: dict = {}
+    roots: dict = {}
     for i, atom in enumerate(dictionary.atoms):
-        out[i] = eval_nilsequence(atom, w).values
-    return out
+        if isinstance(atom, HeisenbergOrbit):
+            psi[i] = eval_nilsequence(atom, w).values
+            continue
+        fracs = phase_fracs(atom, ns, rows)
+        if isinstance(atom, PolynomialPhase):
+            den = phase_denominator(atom.coefficients)
+        else:
+            den = phase_denominator((atom.quad, atom.cross, atom.linear))
+        if den > w.length:
+            psi[i] = unit_phases(fracs)
+            continue
+        if den not in roots:
+            roots[den] = unit_phases(np.arange(den) / den)
+        psi[i] = roots[den][(fracs * den).astype(np.int64)]
+    return psi
 
 
 def clip_to_unit_disk(values: np.ndarray) -> np.ndarray:
@@ -114,9 +142,12 @@ _SINGULAR_RTOL = 1e-12
 
 
 def _solve_projection(a: Signal, psi: np.ndarray, ridge: float):
+    """Coefficients, their combination and the Gram matrix of the atoms."""
     n = a.window.length
-    gram = np.conj(psi) @ psi.T / n
-    rhs = np.conj(psi) @ a.values / n
+    conj = np.conj(psi)
+    gram = conj @ psi.T / n
+    rhs = conj @ a.values / n
+    del conj  # the solve below must not hold a second atom-matrix-sized array
     system = gram + ridge * np.eye(len(psi))
     singular_msg = "Gram matrix is singular; pass a ridge parameter > 0"
     if ridge == 0.0:
@@ -133,7 +164,7 @@ def _solve_projection(a: Signal, psi: np.ndarray, ridge: float):
         coeffs = np.linalg.solve(system, rhs)
     except np.linalg.LinAlgError as exc:
         raise ValueError(singular_msg) from exc
-    return coeffs, coeffs @ psi
+    return coeffs, coeffs @ psi, gram
 
 
 def project_and_clip(a: Signal, dictionary: Dictionary, scale: int,
@@ -153,7 +184,7 @@ def project_and_clip(a: Signal, dictionary: Dictionary, scale: int,
         )
     density_seminorm(a, scale)  # validates the scale against the window
     psi = atom_matrix(dictionary, a.window)
-    coeffs, combo = _solve_projection(a, psi, ridge)
+    coeffs, combo, _ = _solve_projection(a, psi, ridge)
     return Signal(a.window, clip_to_unit_disk(combo), 1.0), coeffs
 
 
@@ -204,6 +235,14 @@ def decompose(a: Signal, order: int, epsilon: float, spec: DictionarySpec,
     that constant is not known, pass delta explicitly.  The epsilon flag is
     advisory: a finite dictionary only upper-bounds the distance to the
     structured class.
+
+    The atom matrix, Gram matrix and solve are the same floats whatever
+    the evaluation order of the atoms (see :func:`atom_matrix`); this
+    matters because the ridge solve of a rank-deficient dictionary moves
+    its coefficients by about 1e-6 when the Gram changes in the last bit.
+    The worst atom correlation is one matrix-vector product, which sums in
+    a different order than a per-atom mean and so agrees with it to about
+    1e-16 relative.
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
@@ -212,7 +251,7 @@ def decompose(a: Signal, order: int, epsilon: float, spec: DictionarySpec,
     dictionary = build_dictionary(spec, a.window)
     psi = atom_matrix(dictionary, a.window)
     ridge = spec.resolved_ridge(len(dictionary))
-    coeffs, combo = _solve_projection(a, psi, ridge)
+    coeffs, combo, gram = _solve_projection(a, psi, ridge)
     clipped = clip_to_unit_disk(combo)
     a_st = Signal(a.window, clipped, 1.0)
     a_er = a - a_st
@@ -220,12 +259,11 @@ def decompose(a: Signal, order: int, epsilon: float, spec: DictionarySpec,
     err2_preclip = density_seminorm(Signal(a.window, a.values - combo), full) ** 2
     err2_postclip = density_seminorm(a_er, full) ** 2
     err_uniformity = ghk_seminorm(a_er, gowers)
-    worst = 0.0
-    for row in psi:
-        atom_signal = Signal(a.window, row)
-        corr = abs(inner_product(a_er, atom_signal, full))
-        denom = max(1.0, density_seminorm(atom_signal, full))
-        worst = max(worst, corr / denom)
+    # |<a_er, psi_j>| over max(1, density of psi_j) at the full scale; that
+    # density squared is the Gram diagonal entry mean |psi_j|^2
+    corr = np.abs(psi @ np.conj(a_er.values)) / full
+    denom = np.maximum(1.0, np.sqrt(gram.diagonal().real))
+    worst = float(np.max(corr / denom))
     if delta is None:
         delta = (epsilon / 16.0) ** (2 ** order)
     return DecompositionReport(

@@ -265,19 +265,57 @@ def _check_engine(params: dict, where: str) -> None:
         raise ConfigError(f"{where}.grid: required for the numeric engine")
 
 
+def _dictionary_spec(dic: Mapping) -> DictionarySpec:
+    return DictionarySpec(
+        step=int(dic["step"]),
+        degrees=tuple(dic["degrees"]) if "degrees" in dic else None,
+        freq_resolution=int(dic["Q"]),
+        include_brackets=bool(dic.get("include_brackets", False)),
+        ridge=dic.get("ridge"),
+        budget=int(dic.get("budget", 4096)),
+    )
+
+
 def _check_dictionary(params: dict, where: str) -> None:
+    where = f"{where}.dictionary"
     _require_keys(params["dictionary"],
                   ("step", "degrees", "Q", "include_brackets", "ridge",
                    "budget"),
-                  ("step", "Q"), f"{where}.dictionary")
+                  ("step", "Q"), where)
+    try:
+        _dictionary_spec(params["dictionary"])
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
-def _check_family(params: dict, where: str) -> None:
-    if params["family"] not in ("A", "B", "C"):
+_CLASS_MAX_ELL = {"A": 3, "B": 4, "C": 4}
+
+
+def _check_class_distance(params: dict, where: str) -> None:
+    family = params["family"]
+    if family not in ("A", "B", "C"):
         raise ConfigError(f"{where}.family: must be A, B or C")
+    for name in ("ell", "budget", "L", "Q"):
+        if name not in params:
+            continue
+        try:
+            value = int(params[name])
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"{where}.{name}: {exc}") from exc
+        if value < 1:
+            raise ConfigError(f"{where}.{name}: must be >= 1")
+    top = _CLASS_MAX_ELL[family]
+    if int(params["ell"]) > top:
+        raise ConfigError(f"{where}.ell: class {family} supports ell in 1..{top}")
 
 
 def _check_subsequence(params: dict, where: str) -> None:
+    try:
+        checkpoints = [int(c) for c in params["checkpoints"]]
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{where}.checkpoints: {exc}") from exc
+    if not checkpoints or min(checkpoints) < 1:
+        raise ConfigError(f"{where}.checkpoints: must be positive integers")
     where = f"{where}.subsequence"
     raw = params["subsequence"]
     _require_keys(raw, ("kind", "q", "r", "density"), ("kind",), where)
@@ -292,6 +330,7 @@ def _check_subsequence(params: dict, where: str) -> None:
 # ---------------------------------------------------------------------------
 
 SUBSEQUENCE_KINDS = ("identity", "arithmetic", "sqrt-perturbed", "random-density")
+_DRAW_BATCH = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -318,7 +357,11 @@ class SubsequenceSpec:
             if self.density is None or not 0.0 < self.density <= 1.0:
                 raise ValueError("random-density needs density in (0, 1]")
 
-    def generate(self, count: int, seed: int = 0) -> np.ndarray:
+    def generate(self, count: int, seed: int = 0,
+                 end: Union[int, None] = None) -> np.ndarray:
+        """The first ``count`` terms.  ``random-density`` draws one uniform
+        number per candidate 1, 2, ... and stops early, with fewer terms,
+        once the candidates reach ``end``."""
         ns = np.arange(1, count + 1, dtype=np.int64)
         if self.kind == "identity":
             terms = ns
@@ -327,14 +370,17 @@ class SubsequenceSpec:
         elif self.kind == "sqrt-perturbed":
             terms = ns + np.array([math.isqrt(int(n)) for n in ns])
         else:
+            # batches of draws continue the generator's stream exactly as
+            # one draw per candidate would
             rng = np.random.default_rng(seed)
-            out = []
-            candidate = 1
-            while len(out) < count:
-                if rng.random() < self.density:
-                    out.append(candidate)
-                candidate += 1
-            terms = np.array(out, dtype=np.int64)
+            terms = np.empty(0, dtype=np.int64)
+            first = 1
+            while len(terms) < count and (end is None or first < end):
+                size = _DRAW_BATCH if end is None else min(_DRAW_BATCH, end - first)
+                hits = np.flatnonzero(rng.random(size) < self.density)
+                terms = np.concatenate((terms, first + hits))
+                first += size
+            terms = terms[:count]
         if np.any(np.diff(terms) <= 0):
             raise ValueError("subsequence is not strictly increasing")
         return terms
@@ -384,10 +430,10 @@ def subsequence_average(a: Signal, spec: SubsequenceSpec,
     checkpoints = sorted(int(c) for c in checkpoints)
     if not checkpoints or checkpoints[0] < 1:
         raise ValueError("checkpoints must be positive integers")
-    terms = spec.generate(checkpoints[-1], seed=seed)
-    inside = np.array([a.window.contains(int(t)) for t in terms])
-    if not inside.all():
-        usable = int(np.argmin(inside))  # first index outside the window
+    terms = spec.generate(checkpoints[-1], seed=seed, end=a.window.end)
+    inside = (terms >= a.window.start) & (terms < a.window.end)
+    if len(terms) < checkpoints[-1] or not inside.all():
+        usable = int(np.argmin(inside)) if not inside.all() else len(terms)
         raise ValueError(
             f"window exhausted: largest usable checkpoint is {usable}"
         )
@@ -561,17 +607,9 @@ def _run_correlate(cfg: ExperimentConfig) -> dict:
 
 def _run_decompose(cfg: ExperimentConfig) -> dict:
     target, = _build_signals(cfg)
-    dic = cfg.params["dictionary"]
-    spec = DictionarySpec(
-        step=int(dic["step"]),
-        degrees=tuple(dic["degrees"]) if "degrees" in dic else None,
-        freq_resolution=int(dic["Q"]),
-        include_brackets=bool(dic.get("include_brackets", False)),
-        ridge=dic.get("ridge"),
-        budget=int(dic.get("budget", 4096)),
-    )
     report = decompose(target, int(cfg.params["order"]),
-                       float(cfg.params["epsilon"]), spec,
+                       float(cfg.params["epsilon"]),
+                       _dictionary_spec(cfg.params["dictionary"]),
                        _gowers_params(cfg.params))
     return {"decomposition.json": report.to_json_dict(),
             "a_st.csv": report.a_st, "a_er.csv": report.a_er}
@@ -620,6 +658,9 @@ def _run_interpolate_check(cfg: ExperimentConfig) -> dict:
 def _run_class_distance(cfg: ExperimentConfig) -> dict:
     target, = _build_signals(cfg)
     scale = int(cfg.params.get("L", cfg.window.length))
+    if scale > cfg.window.length:
+        raise ConfigError(f"params.L: {scale} exceeds the window length "
+                          f"{cfg.window.length}")
     result = class_distance(
         target, cfg.params["family"], int(cfg.params["ell"]),
         int(cfg.params["budget"]), scale, seed=cfg.seed,
@@ -631,8 +672,11 @@ def _run_class_distance(cfg: ExperimentConfig) -> dict:
 def _run_subsequence_average(cfg: ExperimentConfig) -> dict:
     target, = _build_signals(cfg)
     spec = SubsequenceSpec.from_dict(cfg.params["subsequence"])
-    table = subsequence_average(target, spec, cfg.params["checkpoints"],
-                                seed=cfg.seed)
+    try:
+        table = subsequence_average(target, spec, cfg.params["checkpoints"],
+                                    seed=cfg.seed)
+    except ValueError as exc:  # after load checks: the window is exhausted
+        raise ConfigError(f"params.subsequence: {exc}") from exc
     rows = [["N", "re", "im"]]
     rows += [[int(n), repr(v.real), repr(v.imag)]
              for n, v in zip(table.checkpoints, table.averages)]
@@ -666,7 +710,7 @@ KINDS: dict[str, ExperimentKind] = {
     "class-distance": ExperimentKind(
         "distance from a signal to a sequence class", _run_class_distance,
         required=("target", "family", "ell", "budget"), optional=("L", "Q"),
-        signals=("target",), check=_check_family),
+        signals=("target",), check=_check_class_distance),
     "subsequence-average": ExperimentKind(
         "partial averages along a subsequence", _run_subsequence_average,
         required=("target", "subsequence", "checkpoints"),

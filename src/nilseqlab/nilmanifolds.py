@@ -18,7 +18,8 @@ from typing import Callable, Sequence, Tuple, Union
 
 import numpy as np
 
-from ._exact import floor_multiples, frac_multiples, poly_phase_fracs, unit_phases
+from ._exact import (bracket_multipliers, frac_multiples, mod1, poly_phase_fracs,
+                     unit_phases)
 from .signals import Signal, Window
 
 _POW_GUARD = 1 << 62
@@ -228,18 +229,29 @@ class Dictionary:
         return tuple(atom.label for atom in self.atoms)
 
 
+def phase_fracs(atom: Union[PolynomialPhase, BracketPhase], ns: np.ndarray,
+                rows: Union[dict, None] = None) -> np.ndarray:
+    """Fractional part of a phase atom's phase at the integers ``ns``.
+
+    Every term is reduced mod 1 exactly (see :mod:`._exact`).  ``rows``
+    caches the term rows and bracket multipliers by coefficient, so that the
+    atoms of a dictionary evaluated on one window share them.
+    """
+    rows = {} if rows is None else rows
+    if isinstance(atom, PolynomialPhase):
+        return poly_phase_fracs(atom.coefficients, ns, rows)
+    total = poly_phase_fracs((0.0, atom.linear, atom.quad), ns, rows)
+    if ("bracket", atom.alpha) not in rows:
+        rows["bracket", atom.alpha] = bracket_multipliers(atom.alpha, ns)
+    cross = frac_multiples(atom.cross, rows["bracket", atom.alpha])
+    return mod1(total + cross)
+
+
 def eval_nilsequence(atom: NilAtom, w: Window) -> Signal:
     """Evaluate an atom on a window; phase atoms are unimodular (bound 1)."""
     ns = w.indices()
-    if isinstance(atom, PolynomialPhase):
-        vals = unit_phases(poly_phase_fracs(atom.coefficients, ns))
-        return Signal(w, vals, 1.0)
-    if isinstance(atom, BracketPhase):
-        floors = floor_multiples(atom.alpha, ns)
-        total = poly_phase_fracs((0.0, atom.linear, atom.quad), ns)
-        cross_mult = [int(n) * m for n, m in zip(ns, floors)]
-        total = np.mod(total + frac_multiples(atom.cross, cross_mult), 1.0)
-        return Signal(w, unit_phases(total), 1.0)
+    if isinstance(atom, (PolynomialPhase, BracketPhase)):
+        return Signal(w, unit_phases(phase_fracs(atom, ns)), 1.0)
     if isinstance(atom, HeisenbergOrbit):
         vals = np.empty(w.length, dtype=np.complex128)
         for i, n in enumerate(ns):

@@ -462,22 +462,31 @@ class CorrelationStructure:
             )
 
 
-def correlation_structure(q: CorrelationQuery) -> CorrelationStructure:
-    """Atoms and spike candidates of the query, computed once for all n.
+def _slot_samples(q: CorrelationQuery) -> list:
+    """The exact slot maps (:func:`_slot_affines`) at ``n = 0..D``.
 
     Every slot map ``prod_i T_i^{p[i][j](n)}`` has matrix entries of degree
     at most ``(d-1) s_j`` and shift components of degree at most ``d s_j``
     in n, where ``s_j = sum_i deg p[i][j]`` (``A^p = sum_{k<d} C(p,k) N^k``,
-    shift ``sum_{k<d} C(p,k+1) N^k alpha``).  The exact slot maps at
-    ``n = 0..D`` with ``D = d max_j s_j`` therefore determine every pushed
-    frequency and phase as a polynomial, by interpolation.  A combination
-    whose total frequency vanishes at all D+1 samples vanishes identically.
+    shift ``sum_{k<d} C(p,k+1) N^k alpha``).  The samples at ``n = 0..D``
+    with ``D = d max_j s_j`` therefore determine every entry, and every
+    linear combination of entries, as a polynomial in n by interpolation.
     """
-    q.require_valid()
     d = q.system.dimension
     degree = d * max(sum(max(len(row[j]) - 1, 0) for row in q.iterates)
                      for j in range(len(q.observables)))
-    samples = [_slot_affines(q, n) for n in range(degree + 1)]
+    return [_slot_affines(q, n) for n in range(degree + 1)]
+
+
+def correlation_structure(q: CorrelationQuery) -> CorrelationStructure:
+    """Atoms and spike candidates of the query, computed once for all n.
+
+    Every pushed frequency and phase is interpolated from
+    :func:`_slot_samples`.  A combination whose total frequency vanishes at
+    all the samples vanishes identically.
+    """
+    q.require_valid()
+    samples = _slot_samples(q)
     slots = []
     pushed: list[ExactPoly] = []
     for j, obs in enumerate(q.observables):
@@ -575,18 +584,27 @@ def correlate_numeric(q: CorrelationQuery, w: Window, quad: QuadratureSpec,
         raise AliasingError(
             f"grid size {G} would alias this query; need at least {needed}"
         )
+    # each slot's matrix mod G and shift mod 1 over the whole window, from
+    # the exact slot maps interpolated as polynomials in n
+    ns = w.indices()
+    samples = _slot_samples(q)
+    mats, shifts = [], []
+    for j in range(len(q.observables)):
+        mats.append(np.array([
+            [np.asarray(ExactPoly.through([s[j][0][r][c] for s in samples])
+                        .values(ns) % G, dtype=np.int64) for c in range(d)]
+            for r in range(d)]))
+        shifts.append(np.array([
+            ExactPoly.through([s[j][1][r] for s in samples]).fracs(ns)
+            for r in range(d)]))
     grid = np.indices((G,) * d).reshape(d, -1)  # (d, G^d)
     values = np.empty(w.length, dtype=np.complex128)
-    for idx, n in enumerate(range(w.start, w.end)):
+    for idx in range(w.length):
         prod = np.ones(grid.shape[1], dtype=np.complex128)
-        for (mat, shift), obs in zip(_slot_affines(q, n), q.observables):
-            mat_mod = np.array(
-                [[int(v % G) for v in row] for row in mat], dtype=np.int64
-            )
-            transformed = (mat_mod @ grid) % G
+        for mat, shift, obs in zip(mats, shifts, q.observables):
+            transformed = (mat[:, :, idx] @ grid) % G
             point = transformed.astype(float) / G
-            shift_frac = np.array([frac_part(s) for s in shift])
-            point = np.mod(point + shift_frac[:, None], 1.0)
+            point = np.mod(point + shift[:, idx, None], 1.0)
             fval = np.zeros(grid.shape[1], dtype=np.complex128)
             for freq, coeff in obs.terms:
                 phase = np.mod(np.asarray(freq, dtype=float) @ point, 1.0)

@@ -91,18 +91,44 @@ class GowersReport:
         }
 
 
+def _leaf_seminorms(values: np.ndarray, H: int, L: int) -> np.ndarray:
+    """Level-1 values of the derivatives ``values[h:] * conj(values[:-h])``
+    for h = 1..H, computed as one zero-padded ``(H, m + 1)`` block.
+
+    Row ``h-1`` holds a zero, the derivative and h zeros; its cumulative
+    sum runs in the same order as :func:`sliding_window_sums` over the
+    derivative alone, so the windowed differences that end inside the
+    derivative are the same floats, and the rest are masked out before the
+    row maxima.
+    """
+    m = len(values)
+    prefix = np.empty((H, m + 1), dtype=np.complex128)
+    prefix[:, 0] = 0.0
+    for h in range(1, H + 1):
+        np.multiply(values[h:], np.conj(values[:-h]), out=prefix[h - 1, 1:m - h + 1])
+        prefix[h - 1, m - h + 1:] = 0.0
+    np.cumsum(prefix[:, 1:], axis=1, out=prefix[:, 1:])
+    sums = np.abs(prefix[:, L:] - prefix[:, :-L])
+    last_start = m - L - np.arange(1, H + 1)
+    sums[np.arange(m - L + 1) > last_start[:, None]] = 0.0
+    return np.max(sums, axis=1) / L
+
+
 def _seminorm_recursive(values: np.ndarray, level: int, H: int, L: int,
                         collected: list) -> float:
     if level == 1:
         sums = sliding_window_sums(values, L)
         return float(np.max(np.abs(sums))) / L
-    powers = np.empty(H, dtype=float)
-    inner_exp = 2 ** (level - 1)
-    for h in range(1, H + 1):
-        derived = values[h:] * np.conj(values[:-h])
-        child = _seminorm_recursive(derived, level - 1, H, L, collected)
-        collected[level - 2].append(child)
-        powers[h - 1] = child ** inner_exp
+    if level == 2:
+        children = _leaf_seminorms(values, H, L).tolist()
+    else:
+        children = [
+            _seminorm_recursive(values[h:] * np.conj(values[:-h]), level - 1,
+                                H, L, collected)
+            for h in range(1, H + 1)
+        ]
+    collected[level - 2].extend(children)
+    powers = np.array([child ** 2 ** (level - 1) for child in children])
     return float(np.mean(powers)) ** (1.0 / 2 ** level)
 
 
@@ -111,7 +137,10 @@ def ghk_seminorm(a: Signal, params: GowersParams) -> GowersReport:
 
     Deterministic: the h-loop runs ascending and each level averages with
     numpy's pairwise summation.  The value is bounded by ``sup |a|`` and
-    equals the base subwindow mean when order is 1.
+    equals the base subwindow mean when order is 1.  The H derivatives
+    under each level-2 node are evaluated as one 2-D block whose rows are
+    the same floats as H separate prefix sums, so ``value`` and
+    ``per_level`` do not depend on that batching.
     """
     H, L = params.resolve(a.window.length)
     collected: list = [[] for _ in range(max(params.order - 1, 0))]

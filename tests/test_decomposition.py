@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import cmath
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -24,8 +25,10 @@ from nilseqlab import (
     inner_product,
     project_and_clip,
 )
+from nilseqlab._exact import _power_multipliers, frac_multiples
 from nilseqlab.decomposition import atom_matrix
-from nilseqlab.nilmanifolds import Dictionary
+from nilseqlab.nilmanifolds import (BracketPhase, Dictionary, HeisenbergElement,
+                                    HeisenbergObservable, HeisenbergOrbit)
 
 W = Window(0, 512)
 
@@ -193,3 +196,116 @@ def test_decompose_off_grid_bounded_by_single_atom_projection():
         geo = (1 - r**W.length) / (1 - r) / W.length
         best = min(best, 1.0 - abs(geo) ** 2)
     assert rep.err2 <= best + 1e-9
+
+
+# ---------------------------------------------------------------------------
+# per-atom and per-row loops, kept as the slow oracles of the atom matrix and
+# of the worst atom correlation
+# ---------------------------------------------------------------------------
+
+def _poly_fracs_per_atom(coefficients, ns):
+    total = np.zeros(len(ns))
+    for k, c in enumerate(coefficients):
+        if c != 0.0:
+            total += frac_multiples(c, _power_multipliers(ns, k))
+    return np.mod(total, 1.0)
+
+
+def _atom_row(atom, w: Window) -> np.ndarray:
+    """One atom on its own, with floor(alpha n) and n floor(alpha n) in
+    Python integers."""
+    ns = w.indices()
+    if isinstance(atom, PolynomialPhase):
+        return np.exp(2j * np.pi * _poly_fracs_per_atom(atom.coefficients, ns))
+    if isinstance(atom, BracketPhase):
+        fr = Fraction(atom.alpha)
+        floors = [(fr.numerator * int(n)) // fr.denominator for n in ns]
+        total = _poly_fracs_per_atom((0.0, atom.linear, atom.quad), ns)
+        cross_mult = [int(n) * m for n, m in zip(ns, floors)]
+        total = np.mod(total + frac_multiples(atom.cross, cross_mult), 1.0)
+        return np.exp(2j * np.pi * total)
+    return eval_nilsequence(atom, w).values
+
+
+def _worst_atom_per_row(a_er: Signal, psi: np.ndarray) -> float:
+    full = a_er.window.length
+    worst = 0.0
+    for row in psi:
+        atom_signal = Signal(a_er.window, row)
+        corr = abs(inner_product(a_er, atom_signal, full))
+        denom = max(1.0, density_seminorm(atom_signal, full))
+        worst = max(worst, corr / denom)
+    return worst
+
+
+@st.composite
+def oracle_windows(draw):
+    """Odd and even lengths at 0, at negative n, near |n| = 10^6 (where n^3
+    still fits int64) and near 2^21 (where it does not)."""
+    centre = draw(st.sampled_from((0, -500, 10**6, -10**6, 2**21)))
+    start = centre + draw(st.integers(-40, 40))
+    return Window(start, start + draw(st.integers(1, 97)))
+
+
+# grid points j/Q for non-power-of-two and power-of-two Q, dyadic rationals
+# with large denominators, and arbitrary floats
+_COEFF = st.one_of(
+    st.builds(lambda j, q: (j % q) / q, st.integers(0, 63),
+              st.sampled_from((3, 5, 12, 16, 32))),
+    st.builds(lambda j, e: j / 2.0**e, st.integers(0, 2**20), st.integers(20, 60)),
+    st.floats(-2.0, 2.0, allow_nan=False, allow_infinity=False),
+)
+# alphas whose floor(alpha n), or n floor(alpha n), leaves int64 near 2^21
+_BIG_ALPHAS = (2.0**40 + 0.5, 2.0**30 + 0.25, -3e5)
+_ATOM = st.one_of(
+    st.lists(_COEFF, min_size=1, max_size=4).map(lambda c: PolynomialPhase(tuple(c))),
+    st.builds(BracketPhase, _COEFF, _COEFF,
+              st.one_of(_COEFF, st.sampled_from(_BIG_ALPHAS)), _COEFF),
+    st.builds(lambda x, y, z, k: HeisenbergOrbit(
+        HeisenbergElement(x, y, z), HeisenbergObservable(horizontal=k)),
+        _COEFF, _COEFF, _COEFF, st.sampled_from(((1, 0), (0, 1), (2, -1)))),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(_ATOM, min_size=1, max_size=8, unique=True), oracle_windows())
+def test_atom_matrix_matches_per_atom_oracle(atoms, w):
+    psi = atom_matrix(Dictionary(tuple(atoms), 2), w)
+    expected = np.array([_atom_row(atom, w) for atom in atoms])
+    assert np.array_equal(psi, expected)  # bit for bit
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(((1, None, 5), (2, None, 3), (2, (1,), 12), (3, (1, 3), 5))),
+       st.booleans(), oracle_windows(), st.integers(0, 2**32))
+def test_grid_dictionary_matches_per_atom_oracle(spec_args, brackets, w, seed):
+    step, degrees, q = spec_args
+    spec = DictionarySpec(step=step, degrees=degrees, freq_resolution=q,
+                          include_brackets=brackets and step >= 2)
+    dictionary = build_dictionary(spec, w)
+    psi = atom_matrix(dictionary, w)
+    expected = np.array([_atom_row(atom, w) for atom in dictionary.atoms])
+    assert np.array_equal(psi, expected)  # bit for bit
+    # the worst atom correlation is one matrix-vector product; it sums in
+    # another order than the per-row means, so it agrees to rounding, judged
+    # against the size of the residual for residuals near zero
+    if w.length < 8:
+        return
+    rng = np.random.default_rng(seed)
+    target = Signal(w, np.exp(2j * np.pi * rng.random(w.length)), 1.0)
+    rep = decompose(target, 2, 0.5, spec, GowersParams(order=2, shift_count=3))
+    slow = _worst_atom_per_row(rep.a_er, psi)
+    scale = max(slow, float(np.mean(np.abs(rep.a_er.values))))
+    assert abs(rep.max_atom_correlation - slow) <= 1e-12 * scale
+
+
+def test_worst_atom_correlation_of_an_exact_member():
+    # the residual of an on-grid target is rounding noise; both forms of the
+    # worst correlation must still agree at the scale of that noise
+    target = grid_atom(3, 8)
+    spec = DictionarySpec(step=1, freq_resolution=8, ridge=0.0)
+    rep = decompose(target, 2, 0.5, spec, GowersParams(order=2, shift_count=8))
+    slow = _worst_atom_per_row(rep.a_er, atom_matrix(build_dictionary(spec, W), W))
+    assert rep.max_atom_correlation < 1e-12
+    assert abs(rep.max_atom_correlation - slow) <= 1e-12 * max(
+        slow, float(np.mean(np.abs(rep.a_er.values))))

@@ -453,6 +453,29 @@ def test_cli_non_object_value_exit_2(kind, field, value, tmp_path, capsys):
     assert "must be an object" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kind,overrides,field", [
+    ("decompose", {"dictionary": {"step": 5, "Q": 8}}, "dictionary"),
+    ("decompose", {"dictionary": {"step": 1, "Q": 8, "ridge": -1}}, "dictionary"),
+    ("decompose", {"dictionary": {"step": 1, "Q": 0}}, "dictionary"),
+    ("decompose", {"dictionary": {"step": 2, "Q": 4, "degrees": [3]}}, "dictionary"),
+    ("class-distance", {"budget": 0}, "budget"),
+    ("class-distance", {"budget": "many"}, "budget"),
+    ("class-distance", {"ell": 0}, "ell"),
+    ("class-distance", {"ell": 5}, "ell"),
+    ("class-distance", {"family": "A", "ell": 4}, "ell"),
+    ("class-distance", {"L": 0}, "L"),
+    ("class-distance", {"L": 65}, "L"),  # the window has 64 points
+    ("class-distance", {"Q": -1}, "Q"),
+    ("subsequence-average", {"checkpoints": [0, 4]}, "checkpoints"),
+    ("subsequence-average", {"checkpoints": []}, "checkpoints"),
+])
+def test_cli_bad_param_value_exit_2(kind, overrides, field, tmp_path, capsys):
+    params, end = KIND_CONFIGS[kind]
+    raw = base_config(kind, dict(params, **overrides), end=end)
+    assert run_cli(tmp_path, raw) == 2
+    assert f"params.{field}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("start", [2**63 - 1, -2**63])
 def test_cli_window_outside_int64_exit_2(start, tmp_path, capsys):
     raw = base_config("correlate", ROTATIONS, start=start, end=start + 4)
@@ -478,6 +501,8 @@ def test_cli_frequency_guard_exit_3(tmp_path, capsys):
     {"kind": "random-density"},
     {"kind": "fibonacci"},
     {"kind": "arithmetic", "q": "two"},
+    {"kind": "random-density", "density": 1e-12},  # never reaches 8 terms
+    {"kind": "arithmetic", "q": 20},               # leaves the window
 ])
 def test_cli_bad_subsequence_exit_2(subsequence, tmp_path, capsys):
     params, end = KIND_CONFIGS["subsequence-average"]

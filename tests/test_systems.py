@@ -318,7 +318,8 @@ def test_negative_window_supported():
 
 
 # ---------------------------------------------------------------------------
-# the per-n exact engine, kept as the slow oracle of the closed-form one
+# the per-n engines, kept as the slow oracles of the closed-form exact
+# engine and of the numeric engine's interpolated slot maps
 # ---------------------------------------------------------------------------
 
 def _guard_frequency(freq):
@@ -484,6 +485,46 @@ def spike_cases(draw):
     Window(-10**6, -10**6 + 40)))
 def test_exact_engine_matches_per_n_oracle(case):
     _assert_matches_oracle(*case)
+
+
+def _numeric_per_n(q: CorrelationQuery, w: Window, G: int) -> np.ndarray:
+    """The grid quadrature with the exact slot maps, their matrices mod G
+    and their shifts mod 1 recomputed at every n."""
+    d = q.system.dimension
+    grid = np.indices((G,) * d).reshape(d, -1)
+    values = np.empty(w.length, dtype=np.complex128)
+    for idx, n in enumerate(range(w.start, w.end)):
+        prod = np.ones(grid.shape[1], dtype=np.complex128)
+        for (mat, shift), obs in zip(_slot_affines(q, n), q.observables):
+            mat_mod = np.array(
+                [[int(v % G) for v in row] for row in mat], dtype=np.int64
+            )
+            transformed = (mat_mod @ grid) % G
+            point = transformed.astype(float) / G
+            shift_frac = np.array([frac_part(s) for s in shift])
+            point = np.mod(point + shift_frac[:, None], 1.0)
+            fval = np.zeros(grid.shape[1], dtype=np.complex128)
+            for freq, coeff in obs.terms:
+                phase = np.mod(np.asarray(freq, dtype=float) @ point, 1.0)
+                fval += coeff * np.exp(2j * np.pi * phase)
+            prod *= fval
+        values[idx] = prod.mean()
+    return values
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(unipotent_cases(), spike_cases()), st.integers(2, 5))
+def test_numeric_engine_matches_per_n_oracle(case, grid):
+    q, w = case
+    quad = QuadratureSpec(grid)
+    try:
+        required_grid_size(q, w)
+    except FrequencyOverflowError:
+        with pytest.raises(FrequencyOverflowError):
+            correlate_numeric(q, w, quad, allow_aliased=True)
+        return
+    got = correlate_numeric(q, w, quad, allow_aliased=True)
+    assert np.array_equal(got.values, _numeric_per_n(q, w, grid))  # bit for bit
 
 
 @pytest.mark.parametrize("offset", [990, 800])

@@ -23,6 +23,7 @@ from nilseqlab import (
     uniform_cesaro_mean,
     vdc_defect,
 )
+from nilseqlab.signals import sliding_window_sums
 from nilseqlab.uniformity import modulate
 
 # regression target computed from the closed-form geometric-sum oracle
@@ -248,3 +249,45 @@ def test_anti_uniformity_zero_bound_flag():
     rep = anti_uniformity_ratio(a, b, GowersParams(order=2, shift_count=8))
     assert rep.bound == 0.0
     assert math.isinf(rep.ratio) and rep.unbounded
+
+
+# ---------------------------------------------------------------------------
+# the per-leaf recursion, kept as the slow oracle of the batched leaf level
+# ---------------------------------------------------------------------------
+
+def _seminorm_per_leaf(values, level, H, L, collected):
+    if level == 1:
+        sums = sliding_window_sums(values, L)
+        return float(np.max(np.abs(sums))) / L
+    powers = np.empty(H, dtype=float)
+    for h in range(1, H + 1):
+        derived = values[h:] * np.conj(values[:-h])
+        child = _seminorm_per_leaf(derived, level - 1, H, L, collected)
+        collected[level - 2].append(child)
+        powers[h - 1] = child ** 2 ** (level - 1)
+    return float(np.mean(powers)) ** (1.0 / 2 ** level)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 5), st.integers(1, 9), st.integers(0, 2**32),
+       st.sampled_from(("unimodular", "gaussian", "sparse")), st.data())
+def test_seminorm_matches_per_leaf_oracle(order, H, seed, kind, data):
+    """Odd and even H and L, short and long base scales, and signals whose
+    derivatives vanish on stretches (sparse), at windows off the origin."""
+    H = min(H, {2: 9, 3: 9, 4: 5, 5: 3}[order])
+    length = data.draw(st.integers((order - 1) * H + 1, 160))
+    L = data.draw(st.integers(1, length - (order - 1) * H))
+    rng = np.random.default_rng(seed)
+    if kind == "unimodular":
+        values = np.exp(2j * np.pi * rng.random(length))
+    elif kind == "gaussian":
+        values = rng.normal(size=length) + 1j * rng.normal(size=length)
+    else:
+        values = np.where(rng.random(length) < 0.2, 1.0 + 0.5j, 0.0)
+    start = data.draw(st.sampled_from((0, -length, 10**6)))
+    report = ghk_seminorm(Signal(Window(start, start + length), values),
+                          GowersParams(order, shift_count=H, scale=L))
+    collected = [[] for _ in range(order - 1)]
+    value = _seminorm_per_leaf(values, order, H, L, collected)
+    assert report.value == value  # bit for bit
+    assert report.per_level == tuple(tuple(level) for level in collected)
