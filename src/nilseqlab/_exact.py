@@ -6,10 +6,12 @@ can therefore be done without rounding even when the product is far beyond
 that ``exp(2*pi*i * phase)`` only sees the rounding of the final fractional
 part, never the loss of the high bits of ``c * n^k``.
 
-:class:`ExactPoly` carries a polynomial with rational coefficients as one
-integer polynomial over a common denominator, so that its values and its
-fractional parts over a whole window are computed exactly, in int64 where a
-bound proves that nothing overflows and in Python integers otherwise.
+:class:`ExactPoly` is the one exact evaluator: it carries a polynomial with
+rational coefficients as one integer polynomial over a common denominator,
+so that its values and its fractional parts over a whole window are
+computed exactly, in int64 where a bound proves that nothing overflows and
+in Python integers otherwise.  Correlation phases, atom term rows
+``frac(c n^k)`` and bracket floors ``floor(alpha n)`` all go through it.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from typing import Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
-_FAST_DENOMINATOR = 1 << 20
 _INT64_SAFE = 1 << 62
 _FLOAT_EXACT = 1 << 53
 
@@ -29,31 +30,6 @@ _FLOAT_EXACT = 1 << 53
 def frac_part(value: Fraction) -> float:
     """Fractional part of an exact rational, rounded once to float."""
     return float(value % 1)
-
-
-def _frac_multiples_big(num: int, den: int, multipliers: Iterable[int]) -> np.ndarray:
-    return np.array([((num * int(q)) % den) / den for q in multipliers], dtype=float)
-
-
-def frac_multiples(c: float, multipliers) -> np.ndarray:
-    """``frac(c * q)`` for each integer ``q`` in ``multipliers``, exactly.
-
-    Fast vectorized path when the denominator of ``c`` is small (grid
-    frequencies such as j/64); exact big-integer path otherwise.
-    """
-    fr = Fraction(c)
-    num, den = fr.numerator, fr.denominator
-    if den == 1:
-        n = len(multipliers)
-        return np.zeros(n, dtype=float)
-    if (
-        den <= _FAST_DENOMINATOR
-        and isinstance(multipliers, np.ndarray)
-        and multipliers.dtype == np.int64
-    ):
-        rem = ((num % den) * (multipliers % den)) % den
-        return rem.astype(float) / den
-    return _frac_multiples_big(num, den, multipliers)
 
 
 def mod1(values: np.ndarray) -> np.ndarray:
@@ -64,21 +40,6 @@ def mod1(values: np.ndarray) -> np.ndarray:
     either way.
     """
     return values - np.floor(values)
-
-
-def _power_multipliers(ns: np.ndarray, k: int):
-    """``n^k`` as an int64 array when safe, else a list of Python ints."""
-    if k == 0:
-        return np.ones(len(ns), dtype=np.int64)
-    if k == 1:
-        return ns
-    max_abs = int(np.max(np.abs(ns))) if len(ns) else 0
-    if max_abs ** k < 2**62:
-        out = ns.copy()
-        for _ in range(k - 1):
-            out = out * ns
-        return out
-    return [int(n) ** k for n in ns]
 
 
 def poly_phase_fracs(coefficients: Sequence[float], ns: np.ndarray,
@@ -99,7 +60,7 @@ def poly_phase_fracs(coefficients: Sequence[float], ns: np.ndarray,
         if c == 0.0:
             continue
         if (k, c) not in rows:
-            rows[k, c] = frac_multiples(c, _power_multipliers(ns, k))
+            rows[k, c] = ExactPoly.term(c, k).fracs(ns)
         total += rows[k, c]
     return mod1(total)
 
@@ -113,17 +74,14 @@ def _max_abs(values: np.ndarray) -> int:
     return int(np.max(np.abs(values), initial=0))
 
 
-def bracket_multipliers(alpha: float, ns: np.ndarray):
+def bracket_multipliers(alpha: float, ns: np.ndarray) -> np.ndarray:
     """``n * floor(alpha * n)`` for each integer n, exact: an int64 array
-    when every intermediate stays below 2^62, else a list of Python ints."""
-    fr = Fraction(alpha)
-    num, den = fr.numerator, fr.denominator
-    top = max(1, _max_abs(ns))
-    if abs(num) * top < _INT64_SAFE and den < _INT64_SAFE:
-        floors = (num * ns) // den
-        if top * _max_abs(floors) < _INT64_SAFE:
-            return ns * floors
-    return [int(n) * ((num * int(n)) // den) for n in ns]
+    when ``max|n| * max|floor|`` stays below 2^62, else an object array of
+    Python ints."""
+    floors = ExactPoly.term(alpha, 1).values(ns)
+    if max(1, _max_abs(ns)) * _max_abs(floors) < _INT64_SAFE:
+        return ns * floors.astype(np.int64)
+    return ns.astype(object) * floors
 
 
 def phase_denominator(coefficients: Iterable[float]) -> int:
@@ -166,13 +124,22 @@ class ExactPoly:
         g = math.gcd(den, *nums)
         return ExactPoly(tuple(c // g for c in nums), den // g)
 
+    @staticmethod
+    def term(c: float, k: int) -> "ExactPoly":
+        """The monomial ``c * n^k`` of a float coefficient, exactly; the zero
+        polynomial when ``c == 0``."""
+        if c == 0:
+            return ExactPoly((), 1)
+        num, den = float(c).as_integer_ratio()
+        return ExactPoly((0,) * k + (num,), den)
+
     def __bool__(self) -> bool:
         return bool(self.numerators)
 
     def _bound(self, ns: np.ndarray) -> int:
         """``sum_k |c_k| m^k`` with ``m = max(1, max|n|)``: a bound on
         ``|P(n)|`` and on every Horner intermediate."""
-        top = int(np.max(np.abs(ns), initial=1))
+        top = max(1, _max_abs(ns))
         return sum(abs(c) * top**k for k, c in enumerate(self.numerators))
 
     def _numerator_values(self, ns: np.ndarray) -> np.ndarray:
@@ -188,7 +155,9 @@ class ExactPoly:
         return acc
 
     def values(self, ns: np.ndarray) -> np.ndarray:
-        """Exact values of an integer-valued polynomial at the integers ns."""
+        """``floor(P(n) / den)`` at the integers ns, exactly: the values of
+        an integer-valued polynomial, and the bracket floors
+        ``floor(alpha * n)`` of a monomial."""
         return self._numerator_values(ns) // self.denominator
 
     def fracs(self, ns: np.ndarray) -> np.ndarray:
@@ -196,9 +165,14 @@ class ExactPoly:
 
         The division rounds correctly, in float64 when both operands are
         exact below 2^53 and as a Python integer quotient otherwise, so each
-        value equals ``frac_part(Fraction(P(n), den))``.
+        value equals ``frac_part(Fraction(P(n), den))``.  ``P(n) mod den``
+        depends only on ``n mod den``, so a window reaching past ``den`` is
+        reduced first, which keeps far windows of small-denominator phases
+        in int64.
         """
         den = self.denominator
+        if den <= _max_abs(ns):
+            ns = ns % den
         rem = self._numerator_values(ns) % den
         if rem.dtype == np.int64:
             return rem / den

@@ -226,15 +226,13 @@ class DecompositionReport:
 
 
 def decompose(a: Signal, order: int, epsilon: float, spec: DictionarySpec,
-              gowers: GowersParams, *, delta: Union[float, None] = None,
-              enforce_bound: bool = True) -> DecompositionReport:
+              gowers: GowersParams) -> DecompositionReport:
     """Split a bounded signal into clipped dictionary projection plus error.
 
-    ``delta`` defaults to ``(epsilon / 16)^(2^order)``, the orthogonality
-    threshold matching an anti-uniformity constant of 4; for inputs where
-    that constant is not known, pass delta explicitly.  The epsilon flag is
-    advisory: a finite dictionary only upper-bounds the distance to the
-    structured class.
+    The reported ``delta`` is ``(epsilon / 16)^(2^order)``, the
+    orthogonality threshold matching an anti-uniformity constant of 4.  The
+    epsilon flag is advisory: a finite dictionary only upper-bounds the
+    distance to the structured class.
 
     The atom matrix, Gram matrix and solve are the same floats whatever
     the evaluation order of the atoms (see :func:`atom_matrix`); this
@@ -246,7 +244,7 @@ def decompose(a: Signal, order: int, epsilon: float, spec: DictionarySpec,
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    if enforce_bound and a.sup_norm > 1.0 + BOUND_SLACK:
+    if a.sup_norm > 1.0 + BOUND_SLACK:
         raise ValueError(f"signal sup-norm {a.sup_norm} exceeds 1")
     dictionary = build_dictionary(spec, a.window)
     psi = atom_matrix(dictionary, a.window)
@@ -264,8 +262,7 @@ def decompose(a: Signal, order: int, epsilon: float, spec: DictionarySpec,
     corr = np.abs(psi @ np.conj(a_er.values)) / full
     denom = np.maximum(1.0, np.sqrt(gram.diagonal().real))
     worst = float(np.max(corr / denom))
-    if delta is None:
-        delta = (epsilon / 16.0) ** (2 ** order)
+    delta = (epsilon / 16.0) ** (2 ** order)
     return DecompositionReport(
         atom_labels=dictionary.labels,
         coefficients=coeffs,

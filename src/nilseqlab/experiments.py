@@ -31,8 +31,8 @@ from .errors import ConfigError
 from .nilmanifolds import BracketPhase, PolynomialPhase, eval_nilsequence, torus_interpolate
 from .signals import (Signal, Window, constant_signal, density_seminorm,
                       read_csv, signal_from, write_csv)
-from .systems import (AffineToralSystem, CorrelationQuery, QuadratureSpec,
-                      ToralMap, TrigObservable, corpus_generate,
+from .systems import (CLASS_MAX_ELL, AffineToralSystem, CorrelationQuery,
+                      QuadratureSpec, ToralMap, TrigObservable, corpus_generate,
                       correlate_exact, correlate_numeric)
 from .uniformity import GowersParams, anti_uniformity_ratio, ghk_seminorm, vdc_defect
 
@@ -261,8 +261,14 @@ def _check_engine(params: dict, where: str) -> None:
     engine = params.get("engine", "exact")
     if engine not in ("exact", "numeric"):
         raise ConfigError(f"{where}.engine: must be 'exact' or 'numeric'")
-    if engine == "numeric" and "grid" not in params:
+    if engine != "numeric":
+        return
+    if "grid" not in params:
         raise ConfigError(f"{where}.grid: required for the numeric engine")
+    try:
+        QuadratureSpec(int(params["grid"]))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{where}.grid: {exc}") from exc
 
 
 def _dictionary_spec(dic: Mapping) -> DictionarySpec:
@@ -288,12 +294,9 @@ def _check_dictionary(params: dict, where: str) -> None:
         raise ConfigError(f"{where}: {exc}") from exc
 
 
-_CLASS_MAX_ELL = {"A": 3, "B": 4, "C": 4}
-
-
 def _check_class_distance(params: dict, where: str) -> None:
     family = params["family"]
-    if family not in ("A", "B", "C"):
+    if not isinstance(family, str) or family not in CLASS_MAX_ELL:
         raise ConfigError(f"{where}.family: must be A, B or C")
     for name in ("ell", "budget", "L", "Q"):
         if name not in params:
@@ -304,7 +307,7 @@ def _check_class_distance(params: dict, where: str) -> None:
             raise ConfigError(f"{where}.{name}: {exc}") from exc
         if value < 1:
             raise ConfigError(f"{where}.{name}: must be >= 1")
-    top = _CLASS_MAX_ELL[family]
+    top = CLASS_MAX_ELL[family]
     if int(params["ell"]) > top:
         raise ConfigError(f"{where}.ell: class {family} supports ell in 1..{top}")
 
@@ -543,8 +546,14 @@ def _write_artifact(path: Path, payload) -> None:
 def _build_signals(cfg: ExperimentConfig) -> list:
     """The kind's signal params, built in order from one seeded generator."""
     rng = np.random.default_rng(cfg.seed)
-    return [build_signal(cfg.params[name], cfg.window, rng, seed=cfg.seed)
-            for name in KINDS[cfg.kind].signals]
+    signals = []
+    for name in KINDS[cfg.kind].signals:
+        try:
+            signals.append(build_signal(cfg.params[name], cfg.window, rng,
+                                        seed=cfg.seed))
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"params.{name}: {exc}") from exc
+    return signals
 
 
 def _gowers_params(params: Mapping) -> GowersParams:
@@ -581,9 +590,14 @@ def _query_from_params(params: Mapping, where: str) -> CorrelationQuery:
             tuple(tuple(int(c) for c in poly) for poly in row)
             for row in params["iterates"]
         )
-        return CorrelationQuery(system, observables, iterates)
+        query = CorrelationQuery(system, observables, iterates)
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"{where}: {exc}") from exc
+    try:
+        query.require_valid()
+    except ValueError as exc:
+        raise ConfigError(f"{where}.system: {exc}") from exc
+    return query
 
 
 def _run_gowers(cfg: ExperimentConfig) -> dict:

@@ -14,11 +14,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence, Tuple, Union
+from typing import Sequence, Tuple, Union
 
 import numpy as np
 
-from ._exact import (bracket_multipliers, frac_multiples, mod1, poly_phase_fracs,
+from ._exact import (ExactPoly, bracket_multipliers, mod1, poly_phase_fracs,
                      unit_phases)
 from .signals import Signal, Window
 
@@ -103,31 +103,15 @@ def heis_reduce(p: HeisenbergElement) -> Tuple[HeisenbergElement, HeisenbergElem
 
 @dataclass(frozen=True)
 class HeisenbergObservable:
-    """Function on the fundamental domain of the Heisenberg quotient.
+    """Horizontal character ``e^{2 pi i (k1 x + k2 y)}`` on the Heisenberg
+    quotient; continuous there because it ignores z and is invariant under
+    the lattice action."""
 
-    Either a horizontal character ``e^{2 pi i (k1 x + k2 y)}`` (continuous on
-    the quotient because horizontal characters ignore z and are invariant
-    under the lattice action) or a user-supplied function on [0,1)^3 which
-    must carry ``continuity_caveat=True``: nothing guarantees it glues
-    continuously across the domain boundary.
-    """
-
-    horizontal: Union[Tuple[int, int], None] = None
-    custom: Union[Callable[[float, float, float], complex], None] = None
-    continuity_caveat: bool = False
-
-    def __post_init__(self) -> None:
-        if (self.horizontal is None) == (self.custom is None):
-            raise ValueError("specify exactly one of horizontal= or custom=")
-        if self.custom is not None and not self.continuity_caveat:
-            raise ValueError("custom fundamental-domain functions require "
-                             "continuity_caveat=True")
+    horizontal: Tuple[int, int]
 
     def __call__(self, x: float, y: float, z: float) -> complex:
-        if self.horizontal is not None:
-            k1, k2 = self.horizontal
-            return complex(np.exp(2j * np.pi * (k1 * x + k2 * y)))
-        return complex(self.custom(x, y, z))
+        k1, k2 = self.horizontal
+        return complex(np.exp(2j * np.pi * (k1 * x + k2 * y)))
 
 
 @dataclass(frozen=True)
@@ -198,10 +182,7 @@ class HeisenbergOrbit:
     @property
     def label(self) -> str:
         g = self.element
-        if self.observable.horizontal is not None:
-            f = f"char{self.observable.horizontal}"
-        else:
-            f = "custom"
+        f = f"char{self.observable.horizontal}"
         return f"heis(g=({g.x!r},{g.y!r},{g.z!r}), F={f})"
 
 
@@ -243,12 +224,12 @@ def phase_fracs(atom: Union[PolynomialPhase, BracketPhase], ns: np.ndarray,
     total = poly_phase_fracs((0.0, atom.linear, atom.quad), ns, rows)
     if ("bracket", atom.alpha) not in rows:
         rows["bracket", atom.alpha] = bracket_multipliers(atom.alpha, ns)
-    cross = frac_multiples(atom.cross, rows["bracket", atom.alpha])
+    cross = ExactPoly.term(atom.cross, 1).fracs(rows["bracket", atom.alpha])
     return mod1(total + cross)
 
 
 def eval_nilsequence(atom: NilAtom, w: Window) -> Signal:
-    """Evaluate an atom on a window; phase atoms are unimodular (bound 1)."""
+    """Evaluate an atom on a window; every atom is unimodular (bound 1)."""
     ns = w.indices()
     if isinstance(atom, (PolynomialPhase, BracketPhase)):
         return Signal(w, unit_phases(phase_fracs(atom, ns)), 1.0)
@@ -257,8 +238,7 @@ def eval_nilsequence(atom: NilAtom, w: Window) -> Signal:
         for i, n in enumerate(ns):
             rep, _ = heis_reduce(heis_pow(atom.element, int(n)))
             vals[i] = atom.observable(rep.x, rep.y, rep.z)
-        bound = 1.0 if atom.observable.horizontal is not None else None
-        return Signal(w, vals, bound)
+        return Signal(w, vals, 1.0)
     raise TypeError(f"not a nilsequence atom: {atom!r}")
 
 

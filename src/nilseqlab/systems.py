@@ -754,6 +754,10 @@ def _class_c_entry(ell: int, rng: np.random.Generator, w: Window,
     )
 
 
+# largest ell of each sequence class
+CLASS_MAX_ELL = {"A": 3, "B": 4, "C": 4}
+
+
 def corpus_generate(family: str, ell: int, seed: int, w: Window,
                     count: int = 8, freq_grid: Union[int, None] = None,
                     variant: str = "mixed") -> list[CorpusEntry]:
@@ -766,14 +770,13 @@ def corpus_generate(family: str, ell: int, seed: int, w: Window,
     frequencies with the grid j/Q; ``variant="rotations"`` restricts family
     C to pure rotation pairs.
     """
-    if family not in ("A", "B", "C"):
+    if family not in CLASS_MAX_ELL:
         raise ValueError(f"unknown class {family!r}")
     if variant not in ("mixed", "rotations"):
         raise ValueError(f"unknown variant {variant!r}")
-    if family == "A" and not 1 <= ell <= 3:
-        raise ValueError("class A supports ell in 1..3")
-    if family in ("B", "C") and not 1 <= ell <= 4:
-        raise ValueError(f"class {family} supports ell in 1..4")
+    top = CLASS_MAX_ELL[family]
+    if not 1 <= ell <= top:
+        raise ValueError(f"class {family} supports ell in 1..{top}")
     rng = np.random.default_rng(seed)
     entries = []
     for _ in range(count):

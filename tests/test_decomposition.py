@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import cmath
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -25,7 +26,6 @@ from nilseqlab import (
     inner_product,
     project_and_clip,
 )
-from nilseqlab._exact import _power_multipliers, frac_multiples
 from nilseqlab.decomposition import atom_matrix
 from nilseqlab.nilmanifolds import (BracketPhase, Dictionary, HeisenbergElement,
                                     HeisenbergObservable, HeisenbergOrbit)
@@ -203,26 +203,31 @@ def test_decompose_off_grid_bounded_by_single_atom_projection():
 # of the worst atom correlation
 # ---------------------------------------------------------------------------
 
+def _frac_row(c, multipliers) -> np.ndarray:
+    """``frac(c q)`` for each integer q, in exact rationals."""
+    fr = Fraction(c)
+    return np.array([float(fr * int(q) % 1) for q in multipliers])
+
+
 def _poly_fracs_per_atom(coefficients, ns):
     total = np.zeros(len(ns))
     for k, c in enumerate(coefficients):
         if c != 0.0:
-            total += frac_multiples(c, _power_multipliers(ns, k))
+            total += _frac_row(c, [int(n) ** k for n in ns])
     return np.mod(total, 1.0)
 
 
 def _atom_row(atom, w: Window) -> np.ndarray:
-    """One atom on its own, with floor(alpha n) and n floor(alpha n) in
-    Python integers."""
+    """One atom on its own, every term in exact rationals and Python
+    integers."""
     ns = w.indices()
     if isinstance(atom, PolynomialPhase):
         return np.exp(2j * np.pi * _poly_fracs_per_atom(atom.coefficients, ns))
     if isinstance(atom, BracketPhase):
-        fr = Fraction(atom.alpha)
-        floors = [(fr.numerator * int(n)) // fr.denominator for n in ns]
+        alpha = Fraction(atom.alpha)
+        cross_mult = [int(n) * math.floor(alpha * int(n)) for n in ns]
         total = _poly_fracs_per_atom((0.0, atom.linear, atom.quad), ns)
-        cross_mult = [int(n) * m for n, m in zip(ns, floors)]
-        total = np.mod(total + frac_multiples(atom.cross, cross_mult), 1.0)
+        total = np.mod(total + _frac_row(atom.cross, cross_mult), 1.0)
         return np.exp(2j * np.pi * total)
     return eval_nilsequence(atom, w).values
 
@@ -273,6 +278,39 @@ def test_atom_matrix_matches_per_atom_oracle(atoms, w):
     psi = atom_matrix(Dictionary(tuple(atoms), 2), w)
     expected = np.array([_atom_row(atom, w) for atom in atoms])
     assert np.array_equal(psi, expected)  # bit for bit
+
+
+_CUBE = PolynomialPhase((0.0, 0.0, 0.0, 1 - 2.0**-20))
+_BRACKET = BracketPhase(0.0, 0.375, 2.0**30 + 0.25, 0.0)
+
+
+# Windows on either side of 2^62, where exact evaluation leaves int64 for
+# Python integers: (2^20 - 1) n^3 < 2^62 exactly for |n| <= 16384 (inside
+# the denominator 2^20, so the window is not reduced mod 2^20 first), and
+# n floor((2^30 + 1/4) n) < 2^62 exactly for 0 <= n <= 65535.  An int64
+# wrap is a change mod 2^64, which leaves frac(c q) alone for every c with
+# a denominator dividing 2^64; the last case reads floor(alpha n) through
+# a cross coefficient with a larger denominator, so a wrapped floor shows.
+@pytest.mark.parametrize("atom,start,end,below", [
+    (_CUBE, 16360, 16385, True),
+    (_CUBE, 16360, 16386, False),
+    (_CUBE, -16384, -16360, True),
+    (_CUBE, -16385, -16360, False),
+    (_BRACKET, 65500, 65536, True),
+    (_BRACKET, 65500, 65537, False),
+    (BracketPhase(0.0, 1e-20, 2.0**40 + 0.5, 0.0), 2**22, 2**22 + 17, False),
+])
+def test_atom_rows_at_the_int64_switch(atom, start, end, below):
+    top = max(abs(start), abs(end - 1))
+    if atom is _CUBE:
+        size = (2**20 - 1) * top**3
+    else:
+        size = top * math.floor(Fraction(atom.alpha) * top)
+    assert (size < 2**62) == below
+    w = Window(start, end)
+    psi = atom_matrix(Dictionary((atom,), 2), w)
+    assert np.array_equal(psi, np.array([_atom_row(atom, w)]))  # bit for bit
+    assert np.array_equal(eval_nilsequence(atom, w).values, psi[0])
 
 
 @settings(max_examples=25, deadline=None)

@@ -468,6 +468,26 @@ def test_cli_non_object_value_exit_2(kind, field, value, tmp_path, capsys):
     ("class-distance", {"Q": -1}, "Q"),
     ("subsequence-average", {"checkpoints": [0, 4]}, "checkpoints"),
     ("subsequence-average", {"checkpoints": []}, "checkpoints"),
+    ("correlate", {"system": {"dimension": 1, "transformations": [
+        {"matrix": [[2]], "alpha": [0.25]},
+        {"matrix": [[1]], "alpha": [0.5]}]}}, "system"),  # not unipotent
+    ("correlate", {"system": {"dimension": 2, "transformations": [
+        {"matrix": [[1, 0], [1, 1]], "alpha": [0.25, 0]},
+        {"matrix": [[1, 1], [0, 1]], "alpha": [0.5, 0]}]},
+        "observables": [[{"k": [1, 0]}], [{"k": [0, 1]}]]}, "system"),  # skews do not commute
+    ("correlate", {"engine": "numeric", "grid": 1}, "grid"),
+    ("correlate", {"engine": "numeric", "grid": "abc"}, "grid"),
+    ("gowers", {"target": {"kind": "linear_phase", "alpha": "x"}}, "target"),
+    ("gowers", {"target": {"kind": "polynomial_phase",
+                           "coefficients": [0, 0, 0, 0, 0.5]}}, "target"),
+    ("gowers", {"target": {"kind": "corpus", "family": "D", "ell": 2,
+                           "index": 0}}, "target"),
+    ("gowers", {"target": {"kind": "corpus", "family": "B", "ell": 7,
+                           "index": 0}}, "target"),
+    ("gowers", {"target": {"kind": "corpus", "family": "C", "ell": 2,
+                           "index": 0, "variant": "x"}}, "target"),
+    ("gowers", {"target": {"kind": "constant", "re": "nan"}}, "target"),
+    ("anti-uniformity", {"b": {"kind": "linear_phase", "alpha": "x"}}, "b"),
 ])
 def test_cli_bad_param_value_exit_2(kind, overrides, field, tmp_path, capsys):
     params, end = KIND_CONFIGS[kind]

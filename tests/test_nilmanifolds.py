@@ -180,13 +180,8 @@ def test_heisenberg_orbit_horizontal_character():
 
 
 def test_heisenberg_observable_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         HeisenbergObservable()
-    with pytest.raises(ValueError):
-        HeisenbergObservable(horizontal=(1, 0), custom=lambda x, y, z: 1.0)
-    with pytest.raises(ValueError, match="continuity_caveat"):
-        HeisenbergObservable(custom=lambda x, y, z: 1.0)
-    HeisenbergObservable(custom=lambda x, y, z: x, continuity_caveat=True)
 
 
 def test_torus_interpolate_examples():
