@@ -1,8 +1,8 @@
 """Command-line experiment runner.
 
-One subcommand per experiment kind; every subcommand takes a JSON config
-file plus overrides.  Exit codes: 0 success, 2 config error, 3 budget
-error.
+``nilseqlab <command> --config FILE [--out DIR] [--seed N] [--no-cache]``:
+one positional command per experiment kind, and every command takes the
+same options.  Exit codes: 0 success, 2 config error, 3 budget error.
 """
 
 from __future__ import annotations
@@ -17,24 +17,28 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_BUDGET = 3
 
+COMMANDS = {spec.command or kind: kind for kind, spec in KINDS.items()}
+
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nilseqlab",
-        description="config-driven experiments on correlation sequences, "
+        description="config-driven experiments on correlation sequences,\n"
                     "uniformity seminorms, and nilsequence dictionaries",
+        epilog="commands:\n" + "\n".join(
+            f"  {command:<20} {KINDS[kind].help}"
+            for command, kind in COMMANDS.items()),
+        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for kind, spec in KINDS.items():
-        p = sub.add_parser(spec.command or kind, help=spec.help)
-        p.set_defaults(kind=kind)
-        p.add_argument("--config", required=True, help="JSON config file")
-        p.add_argument("--out", default=None,
-                       help="output directory (default: config out_dir or cwd)")
-        p.add_argument("--seed", type=int, default=None,
-                       help="override the config seed")
-        p.add_argument("--no-cache", action="store_true",
-                       help="recompute even if a cached result exists")
+    parser.add_argument("command", choices=COMMANDS, metavar="command",
+                        help="experiment to run (listed below)")
+    parser.add_argument("--config", required=True, help="JSON config file")
+    parser.add_argument("--out", default=None,
+                        help="output directory (default: config out_dir or cwd)")
+    parser.add_argument("--seed", type=int, default=None,
+                        help="override the config seed")
+    parser.add_argument("--no-cache", action="store_true",
+                        help="recompute even if a cached result exists")
     return parser
 
 
@@ -46,9 +50,9 @@ def main(argv=None) -> int:
             "out_dir": args.out,
             "use_cache": False if args.no_cache else None,
         })
-        if cfg.kind != args.kind:
+        if cfg.kind != COMMANDS[args.command]:
             raise ConfigError(
-                f"config kind {cfg.kind!r} does not match subcommand "
+                f"config kind {cfg.kind!r} does not match command "
                 f"{args.command!r}"
             )
         result = run_experiment(cfg)

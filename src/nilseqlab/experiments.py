@@ -10,6 +10,7 @@ cached artifacts byte for byte.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import hashlib
 import json
@@ -19,7 +20,7 @@ import shutil
 import sys
 import tempfile
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable, Mapping, Sequence, Tuple, Union
 
@@ -40,10 +41,7 @@ CACHE_ENV = "NILSEQLAB_CACHE_DIR"
 
 
 def cache_root() -> Path:
-    env = os.environ.get(CACHE_ENV)
-    if env:
-        return Path(env)
-    return Path.home() / ".cache" / "nilseqlab"
+    return Path(os.environ.get(CACHE_ENV) or Path.home() / ".cache" / "nilseqlab")
 
 
 # ---------------------------------------------------------------------------
@@ -121,8 +119,14 @@ def config_from_dict(raw: Mapping, source: str = "<config>") -> ExperimentConfig
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{source}.window: {exc}") from exc
     seed = raw.get("seed", 0)
-    if not isinstance(seed, int) or seed < 0:
+    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
         raise ConfigError(f"{source}.seed: must be a nonnegative integer")
+    out_dir = raw.get("out_dir")
+    if out_dir is not None and not isinstance(out_dir, str):
+        raise ConfigError(f"{source}.out_dir: must be a string")
+    use_cache = raw.get("use_cache", True)
+    if not isinstance(use_cache, bool):
+        raise ConfigError(f"{source}.use_cache: must be true or false")
     spec = KINDS[kind]
     where = f"{source}.params"
     _require_keys(raw["params"], spec.required + spec.optional, spec.required,
@@ -137,15 +141,16 @@ def config_from_dict(raw: Mapping, source: str = "<config>") -> ExperimentConfig
         window=window,
         params=params,
         seed=seed,
-        out_dir=raw.get("out_dir"),
-        use_cache=bool(raw.get("use_cache", True)),
+        out_dir=out_dir,
+        use_cache=use_cache,
     )
 
 
 def load_config(path, overrides: Union[Mapping, None] = None) -> ExperimentConfig:
-    text = Path(path).read_text()
     try:
-        raw = json.loads(text)
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text: {exc.reason}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: "
@@ -237,16 +242,18 @@ def build_signal(spec: Mapping, window: Window, rng: np.random.Generator,
         phases = rng.random(window.length)
         return Signal(window, np.exp(2j * np.pi * phases), 1.0)
     if kind == "corpus":
+        # entry i depends only on the draws before it, so the entries past
+        # the index are never drawn
+        idx = int(spec["index"])
+        if not 0 <= idx < int(spec.get("count", 8)):
+            raise ConfigError(f"corpus index {idx} out of range")
         grid = spec.get("freq_grid")
         entries = corpus_generate(
             spec["family"], int(spec["ell"]), int(spec.get("seed", seed)),
-            window, count=int(spec.get("count", 8)),
+            window, count=idx + 1,
             freq_grid=None if grid is None else int(grid),
             variant=spec.get("variant", "mixed"),
         )
-        idx = int(spec["index"])
-        if not 0 <= idx < len(entries):
-            raise ConfigError(f"corpus index {idx} out of range")
         return entries[idx].signal
     if kind == "csv":
         return read_csv(spec["path"]).restrict(window)
@@ -462,13 +469,6 @@ class ClassDistanceResult:
     witness: str
     evaluated: int
 
-    def to_json_dict(self) -> dict:
-        return {
-            "best_distance": self.best_distance,
-            "witness": self.witness,
-            "evaluated": self.evaluated,
-        }
-
 
 def _class_a_candidates(ell: int, window: Window, seed: int, freq_grid: int):
     yield constant_signal(0.0, window), "zero"
@@ -530,17 +530,14 @@ def class_distance(target: Signal, family: str, ell: int, budget: int,
 # ---------------------------------------------------------------------------
 
 def _write_artifact(path: Path, payload) -> None:
-    """Write a dict as JSON, a Signal as CSV or a list of rows as CSV,
-    through a temporary file."""
-    tmp = path.with_name(path.name + ".tmp")
+    """Write a dict as JSON, a Signal as CSV or a list of rows as CSV."""
     if isinstance(payload, Signal):
-        write_csv(payload, tmp)
+        write_csv(payload, path)
     elif isinstance(payload, dict):
-        tmp.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
     else:
-        with open(tmp, "w", newline="") as fh:
+        with open(path, "w", newline="") as fh:
             csv.writer(fh).writerows(payload)
-    os.replace(tmp, path)
 
 
 def _build_signals(cfg: ExperimentConfig) -> list:
@@ -632,9 +629,7 @@ def _run_decompose(cfg: ExperimentConfig) -> dict:
 def _run_vdc(cfg: ExperimentConfig) -> dict:
     target, = _build_signals(cfg)
     report = vdc_defect(target.values, int(cfg.params["H"]))
-    return {"vdc.json": {
-        "lhs": report.lhs, "rhs": report.rhs, "defect": report.defect,
-    }}
+    return {"vdc.json": asdict(report)}
 
 
 def _run_anti_uniformity(cfg: ExperimentConfig) -> dict:
@@ -680,7 +675,7 @@ def _run_class_distance(cfg: ExperimentConfig) -> dict:
         int(cfg.params["budget"]), scale, seed=cfg.seed,
         freq_grid=int(cfg.params.get("Q", 64)),
     )
-    return {"class_distance.json": result.to_json_dict()}
+    return {"class_distance.json": asdict(result)}
 
 
 def _run_subsequence_average(cfg: ExperimentConfig) -> dict:
@@ -743,8 +738,10 @@ class RunResult:
 def run_experiment(cfg: ExperimentConfig) -> RunResult:
     """Execute one experiment; artifacts land in the output directory.
 
-    With caching enabled, results are stored under the config hash in the
-    cache root and replayed byte-identically on rerun.
+    A miss writes each artifact and the manifest once, into a private stage
+    directory.  With caching enabled the stage is made under the cache root
+    and renamed to become the entry for the config hash, which a rerun
+    replays byte-identically; the output directory gets copies.
     """
     out_dir = Path(cfg.out_dir) if cfg.out_dir else Path.cwd()
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -757,11 +754,14 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
         return RunResult(digest, out_dir, tuple(names), cache_hit=True)
 
     started = time.perf_counter()
-    with tempfile.TemporaryDirectory(prefix="nilseqlab-") as tmp:
-        tmp_path = Path(tmp)
-        artifacts = KINDS[cfg.kind].run(cfg)
+    artifacts = KINDS[cfg.kind].run(cfg)
+    root = cached.parent if cfg.use_cache else None
+    if root is not None:
+        root.mkdir(parents=True, exist_ok=True)
+    stage = Path(tempfile.mkdtemp(prefix="stage-", dir=root))
+    try:
         for name, payload in artifacts.items():
-            _write_artifact(tmp_path / name, payload)
+            _write_artifact(stage / name, payload)
         manifest = {
             "config_hash": digest,
             "config": json.loads(cfg.canonical()),
@@ -773,18 +773,14 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
             },
             "wall_time_s": round(time.perf_counter() - started, 6),
         }
-        _write_artifact(tmp_path / "manifest.json", manifest)
-        names = sorted(p.name for p in tmp_path.iterdir())
-        if cfg.use_cache:
-            cache_root().mkdir(parents=True, exist_ok=True)
-            staging = Path(tempfile.mkdtemp(dir=cache_root(), prefix="stage-"))
-            for name in names:
-                shutil.copyfile(tmp_path / name, staging / name)
-            try:
-                os.replace(staging, cached)
-            except OSError:
-                shutil.rmtree(staging, ignore_errors=True)  # concurrent run won
+        _write_artifact(stage / "manifest.json", manifest)
+        names = sorted(p.name for p in stage.iterdir())
+        if cfg.use_cache:  # on OSError a concurrent run won; serve its bytes
+            with contextlib.suppress(OSError):
+                os.replace(stage, cached)
+        source = cached if cfg.use_cache and cached.is_dir() else stage
         for name in names:
-            shutil.copyfile((cached if cfg.use_cache and cached.is_dir()
-                             else tmp_path) / name, out_dir / name)
+            shutil.copyfile(source / name, out_dir / name)
+    finally:
+        shutil.rmtree(stage, ignore_errors=True)
     return RunResult(digest, out_dir, tuple(names), cache_hit=False)

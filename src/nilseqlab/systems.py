@@ -235,40 +235,32 @@ def _mod1_distance(fr: Fraction) -> float:
     return min(t, 1.0 - t)
 
 
+@lru_cache(maxsize=256)
 def validate_system(s: AffineToralSystem) -> SystemValidation:
     """Check unipotency and pairwise commutation; never raises.
 
     Commutation of ``x -> A_i x + a_i`` and ``x -> A_j x + a_j`` on the
     torus means ``A_i A_j = A_j A_i`` exactly and
-    ``A_i a_j + a_i = A_j a_i + a_j (mod 1)``.  Haar measure is preserved
-    automatically: a unipotent integer matrix has determinant 1.
+    ``A_i a_j + a_i = A_j a_i + a_j (mod 1)``: the two compositions agree.
+    Haar measure is preserved automatically: a unipotent integer matrix has
+    determinant 1.
     """
     violations: list[str] = []
     for idx, tm in enumerate(s.transformations):
         if not is_unipotent(tm):
             violations.append(f"transformation {idx}: matrix is not unipotent")
-    maps = s.transformations
-    for i in range(len(maps)):
-        for j in range(i + 1, len(maps)):
-            a, b = maps[i], maps[j]
-            if _mat_mul(a.matrix, b.matrix) != _mat_mul(b.matrix, a.matrix):
-                violations.append(f"pair ({i}, {j}): matrices do not commute")
-                continue
-            d = s.dimension
-            ai, aj = a.shift_fractions(), b.shift_fractions()
-            lhs = [
-                sum(Fraction(a.matrix[r][c]) * aj[c] for c in range(d)) + ai[r]
-                for r in range(d)
-            ]
-            rhs = [
-                sum(Fraction(b.matrix[r][c]) * ai[c] for c in range(d)) + aj[r]
-                for r in range(d)
-            ]
-            worst = max(_mod1_distance(x - y) for x, y in zip(lhs, rhs))
-            if worst > COMMUTATION_TOL:
-                violations.append(
-                    f"pair ({i}, {j}): affine parts differ mod 1 by {worst:.3e}"
-                )
+    affines = [(tm.matrix, tm.shift_fractions()) for tm in s.transformations]
+    for i, j in itertools.combinations(range(len(affines)), 2):
+        ij_matrix, ij_shift = _compose(affines[i], affines[j])
+        ji_matrix, ji_shift = _compose(affines[j], affines[i])
+        if ij_matrix != ji_matrix:
+            violations.append(f"pair ({i}, {j}): matrices do not commute")
+            continue
+        worst = max(_mod1_distance(x - y) for x, y in zip(ij_shift, ji_shift))
+        if worst > COMMUTATION_TOL:
+            violations.append(
+                f"pair ({i}, {j}): affine parts differ mod 1 by {worst:.3e}"
+            )
     return SystemValidation(valid=not violations, violations=tuple(violations))
 
 
@@ -395,7 +387,7 @@ def _slot_affines(q: CorrelationQuery, n: int):
             p = poly_eval(q.iterates[i][j], n)
             acc = _compose(map_power(tm, p), acc)
         out.append(acc)
-    return out
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -436,11 +428,13 @@ class CorrelationStructure:
     order: atoms contribute at every n, the others only at the finitely many
     integers where their total frequency vanishes (spikes).  ``pushed``
     holds every component of every pushed term frequency, for the 2^127
-    guard.
+    guard; ``samples`` are the exact slot maps it was interpolated from
+    (:func:`_slot_samples`).
     """
 
     combinations: Tuple[TermCombination, ...]
     pushed: Tuple[ExactPoly, ...]
+    samples: tuple
 
     @property
     def atoms(self) -> Tuple[TermCombination, ...]:
@@ -461,8 +455,25 @@ class CorrelationStructure:
                 "frequency overflow: component exceeds 2^127"
             )
 
+    def required_grid_size(self, w: Window) -> int:
+        """Smallest grid size that cannot alias over the window.
 
-def _slot_samples(q: CorrelationQuery) -> list:
+        Aliasing happens when a nonzero combined frequency vector is
+        divisible by G in every component; it is ruled out by taking G
+        strictly larger than the largest ``|component|`` of the non-atom
+        total frequencies over the window.
+        """
+        ns = w.indices()
+        self.check_frequencies(ns)
+        worst = 1
+        for comb in self.combinations:
+            for component in comb.frequency:
+                if component:
+                    worst = max(worst, int(np.max(np.abs(component.values(ns)))))
+        return worst + 1
+
+
+def _slot_samples(q: CorrelationQuery) -> tuple:
     """The exact slot maps (:func:`_slot_affines`) at ``n = 0..D``.
 
     Every slot map ``prod_i T_i^{p[i][j](n)}`` has matrix entries of degree
@@ -475,15 +486,17 @@ def _slot_samples(q: CorrelationQuery) -> list:
     d = q.system.dimension
     degree = d * max(sum(max(len(row[j]) - 1, 0) for row in q.iterates)
                      for j in range(len(q.observables)))
-    return [_slot_affines(q, n) for n in range(degree + 1)]
+    return tuple(_slot_affines(q, n) for n in range(degree + 1))
 
 
+@lru_cache(maxsize=1)
 def correlation_structure(q: CorrelationQuery) -> CorrelationStructure:
     """Atoms and spike candidates of the query, computed once for all n.
 
     Every pushed frequency and phase is interpolated from
     :func:`_slot_samples`.  A combination whose total frequency vanishes at
-    all the samples vanishes identically.
+    all the samples vanishes identically.  The last query's structure is
+    kept, so a numeric correlation and its grid-size check build one.
     """
     q.require_valid()
     samples = _slot_samples(q)
@@ -508,7 +521,7 @@ def correlation_structure(q: CorrelationQuery) -> CorrelationStructure:
         frequency = tuple(ExactPoly.through(col) for col in zip(*totals))
         combinations.append(
             TermCombination(const, ExactPoly.through(phases), frequency))
-    return CorrelationStructure(tuple(combinations), tuple(pushed))
+    return CorrelationStructure(tuple(combinations), tuple(pushed), samples)
 
 
 def correlate_exact(q: CorrelationQuery, w: Window) -> Signal:
@@ -542,23 +555,9 @@ def correlate_exact(q: CorrelationQuery, w: Window) -> Signal:
 
 
 def required_grid_size(q: CorrelationQuery, w: Window) -> int:
-    """Smallest grid size that cannot alias this query over the window.
-
-    Aliasing happens when a nonzero combined frequency vector is divisible
-    by G in every component; it is ruled out by taking G strictly larger
-    than every component of every nonzero combined frequency, i.e. than the
-    largest ``|component|`` of the non-atom total frequencies of
-    :func:`correlation_structure` over the window.
-    """
-    structure = correlation_structure(q)
-    ns = w.indices()
-    structure.check_frequencies(ns)
-    worst = 1
-    for comb in structure.combinations:
-        for component in comb.frequency:
-            if component:
-                worst = max(worst, int(np.max(np.abs(component.values(ns)))))
-    return worst + 1
+    """Smallest grid size that cannot alias this query over the window
+    (:meth:`CorrelationStructure.required_grid_size`)."""
+    return correlation_structure(q).required_grid_size(w)
 
 
 def correlate_numeric(q: CorrelationQuery, w: Window, quad: QuadratureSpec,
@@ -571,7 +570,7 @@ def correlate_numeric(q: CorrelationQuery, w: Window, quad: QuadratureSpec,
     points.  Refuses grids below the aliasing threshold unless
     ``allow_aliased=True`` is passed explicitly.
     """
-    q.require_valid()
+    structure = correlation_structure(q)
     d = q.system.dimension
     G = quad.grid_size
     cost = G**d * w.length
@@ -587,7 +586,7 @@ def correlate_numeric(q: CorrelationQuery, w: Window, quad: QuadratureSpec,
     # each slot's matrix mod G and shift mod 1 over the whole window, from
     # the exact slot maps interpolated as polynomials in n
     ns = w.indices()
-    samples = _slot_samples(q)
+    samples = structure.samples
     mats, shifts = [], []
     for j in range(len(q.observables)):
         mats.append(np.array([

@@ -3,6 +3,11 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +27,7 @@ from nilseqlab import (
     subsequence_average,
     window_mean,
 )
+from nilseqlab import experiments
 from nilseqlab.cli import main as cli_main
 from nilseqlab.experiments import KINDS, SubsequenceSpec, build_signal, load_config
 
@@ -488,6 +494,8 @@ def test_cli_non_object_value_exit_2(kind, field, value, tmp_path, capsys):
                            "index": 0, "variant": "x"}}, "target"),
     ("gowers", {"target": {"kind": "constant", "re": "nan"}}, "target"),
     ("anti-uniformity", {"b": {"kind": "linear_phase", "alpha": "x"}}, "b"),
+    ("gowers", {"target": {"kind": "corpus", "family": "C", "ell": 2,
+                           "index": 8}}, "target"),  # count defaults to 8
 ])
 def test_cli_bad_param_value_exit_2(kind, overrides, field, tmp_path, capsys):
     params, end = KIND_CONFIGS[kind]
@@ -530,3 +538,83 @@ def test_cli_bad_subsequence_exit_2(subsequence, tmp_path, capsys):
                       dict(params, subsequence=subsequence), end=end)
     assert run_cli(tmp_path, raw) == 2
     assert "params.subsequence" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field,value", [
+    ("out_dir", 5),
+    ("use_cache", "no"),
+    ("seed", True),
+    ("encoding", "latin-1"),
+])
+def test_cli_bad_top_level_value_exit_2(field, value, tmp_path, capsys,
+                                        monkeypatch):
+    monkeypatch.chdir(tmp_path)  # no --out: out_dir would override it
+    params, end = KIND_CONFIGS["gowers"]
+    raw = base_config("gowers", params, end=end)
+    path = tmp_path / "config.json"
+    if field == "encoding":
+        raw["out_dir"] = "résultats"
+        path.write_bytes(json.dumps(raw, ensure_ascii=False).encode(value))
+    else:
+        raw[field] = value
+        path.write_text(json.dumps(raw))
+    assert cli_main(["gowers", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err
+    assert ("UTF-8" if field == "encoding" else field) in err
+
+
+def test_cli_help_lists_every_command():
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-m", "nilseqlab.cli", "--help"],
+                         capture_output=True, text=True, env=env, timeout=60)
+    assert out.returncode == 0
+    for kind, spec in KINDS.items():
+        assert f"{spec.command or kind} " in out.stdout
+        assert spec.help in out.stdout
+
+
+def test_cli_unknown_command_exit_2(tmp_path, capsys):
+    raw = base_config("gowers", KIND_CONFIGS["gowers"][0])
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["eigenvalues", "--config", write_config(tmp_path, raw)])
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+
+
+def test_runs_leave_only_cache_entries(tmp_path, capsys, monkeypatch):
+    """A miss writes each artifact once and copies it once; the cache root
+    then holds one directory per digest and nothing else, also after a run
+    whose runner refuses the config."""
+    copies = []
+    copyfile = experiments.shutil.copyfile
+    monkeypatch.setattr(experiments.shutil, "copyfile",
+                        lambda src, dst: copies.append(dst) or copyfile(src, dst))
+    params, end = KIND_CONFIGS["decompose"]
+    raw = base_config("decompose", params, end=end)
+    assert run_cli(tmp_path, raw, "first") == 0
+    names = sorted(p.name for p in (tmp_path / "first").iterdir())
+    assert sorted(Path(p).name for p in copies) == names
+    assert run_cli(tmp_path, raw, "second") == 0
+    params, end = KIND_CONFIGS["subsequence-average"]
+    exhausted = base_config("subsequence-average", dict(
+        params, subsequence={"kind": "arithmetic", "q": 20}), end=end)
+    assert run_cli(tmp_path, exhausted) == 2
+    cache = tmp_path / "cache"
+    digest = config_from_dict(raw).digest()
+    assert [p.name for p in cache.iterdir()] == [digest]
+    assert sorted(p.name for p in (cache / digest).iterdir()) == names
+
+
+def test_uncached_run_leaves_nothing_behind(tmp_path, capsys, monkeypatch):
+    scratch = tmp_path / "tmp"
+    scratch.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(scratch))
+    params, end = KIND_CONFIGS["gowers"]
+    raw = dict(base_config("gowers", params, end=end), use_cache=False)
+    assert run_cli(tmp_path, raw) == 0
+    assert (tmp_path / "out" / "gowers_report.json").exists()
+    assert not (tmp_path / "cache").exists()
+    assert list(scratch.iterdir()) == []

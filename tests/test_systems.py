@@ -594,6 +594,24 @@ def test_corpus_deterministic_per_seed():
         assert np.array_equal(x.signal.values, y.signal.values)
 
 
+@pytest.mark.parametrize("family", ["A", "B", "C"])
+def test_corpus_entry_does_not_depend_on_later_entries(family):
+    """Entry i is drawn before entries i+1, ..., so generating i + 1 entries
+    gives it bit for bit: a corpus signal draws only up to its index."""
+    w = Window(-40, 88)
+    top = {"A": 3, "B": 4, "C": 4}[family]
+    for ell, variant, grid in itertools.product(
+            range(1, top + 1), ("mixed", "rotations"), (None, 16)):
+        full = corpus_generate(family, ell, 11, w, count=8, freq_grid=grid,
+                               variant=variant)
+        for i, entry in enumerate(full):
+            alone = corpus_generate(family, ell, 11, w, count=i + 1,
+                                    freq_grid=grid, variant=variant)[i]
+            assert alone.label == entry.label
+            assert alone.params == entry.params
+            assert np.array_equal(alone.signal.values, entry.signal.values)
+
+
 def test_corpus_freq_grid_alignment():
     w = Window(0, 64)
     entries = corpus_generate("C", 2, 77, w, count=6, variant="rotations",
