@@ -10,11 +10,13 @@ cached artifacts byte for byte.
 
 from __future__ import annotations
 
+import cmath
 import contextlib
 import csv
 import hashlib
 import json
 import math
+import operator
 import os
 import shutil
 import sys
@@ -58,6 +60,18 @@ def _require_keys(obj: Mapping, allowed: Sequence[str], required: Sequence[str],
     for key in required:
         if key not in obj:
             raise ConfigError(f"{where}: missing required field {key!r}")
+
+
+def _config_int(value, where: str) -> int:
+    """An integer from config input: an int or an integral float.  A
+    boolean, a fractional or non-finite number or a string raises
+    ``ConfigError`` instead of being truncated."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if not isinstance(value, bool):
+        with contextlib.suppress(TypeError):
+            return operator.index(value)
+    raise ConfigError(f"{where}: must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -114,8 +128,10 @@ def config_from_dict(raw: Mapping, source: str = "<config>") -> ExperimentConfig
         raise ConfigError(f"{source}.kind: unknown experiment kind {kind!r}")
     win = raw["window"]
     _require_keys(win, ("start", "end"), ("start", "end"), f"{source}.window")
+    start, end = (_config_int(win[k], f"{source}.window.{k}")
+                  for k in ("start", "end"))
     try:
-        window = Window(int(win["start"]), int(win["end"]))
+        window = Window(start, end)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{source}.window: {exc}") from exc
     seed = raw.get("seed", 0)
@@ -234,9 +250,10 @@ def build_signal(spec: Mapping, window: Window, rng: np.random.Generator,
         vals = np.zeros(window.length, dtype=np.complex128)
         height = float(spec.get("height", 1.0))
         for pos in spec["positions"]:
-            if not window.contains(int(pos)):
+            pos = _config_int(pos, "positions")
+            if not window.contains(pos):
                 raise ConfigError(f"spike position {pos} outside window")
-            vals[int(pos) - window.start] = height
+            vals[pos - window.start] = height
         return Signal(window, vals, abs(height))
     if kind == "noise":
         phases = rng.random(window.length)
@@ -244,14 +261,14 @@ def build_signal(spec: Mapping, window: Window, rng: np.random.Generator,
     if kind == "corpus":
         # entry i depends only on the draws before it, so the entries past
         # the index are never drawn
-        idx = int(spec["index"])
-        if not 0 <= idx < int(spec.get("count", 8)):
+        idx = _config_int(spec["index"], "index")
+        if not 0 <= idx < _config_int(spec.get("count", 8), "count"):
             raise ConfigError(f"corpus index {idx} out of range")
         grid = spec.get("freq_grid")
         entries = corpus_generate(
-            spec["family"], int(spec["ell"]), int(spec.get("seed", seed)),
-            window, count=idx + 1,
-            freq_grid=None if grid is None else int(grid),
+            spec["family"], _config_int(spec["ell"], "ell"),
+            _config_int(spec.get("seed", seed), "seed"), window, count=idx + 1,
+            freq_grid=None if grid is None else _config_int(grid, "freq_grid"),
             variant=spec.get("variant", "mixed"),
         )
         return entries[idx].signal
@@ -272,20 +289,21 @@ def _check_engine(params: dict, where: str) -> None:
         return
     if "grid" not in params:
         raise ConfigError(f"{where}.grid: required for the numeric engine")
+    grid = _config_int(params["grid"], f"{where}.grid")
     try:
-        QuadratureSpec(int(params["grid"]))
-    except (TypeError, ValueError) as exc:
+        QuadratureSpec(grid)
+    except ValueError as exc:
         raise ConfigError(f"{where}.grid: {exc}") from exc
 
 
 def _dictionary_spec(dic: Mapping) -> DictionarySpec:
     return DictionarySpec(
-        step=int(dic["step"]),
+        step=_config_int(dic["step"], "step"),
         degrees=tuple(dic["degrees"]) if "degrees" in dic else None,
-        freq_resolution=int(dic["Q"]),
+        freq_resolution=_config_int(dic["Q"], "Q"),
         include_brackets=bool(dic.get("include_brackets", False)),
         ridge=dic.get("ridge"),
-        budget=int(dic.get("budget", 4096)),
+        budget=_config_int(dic.get("budget", 4096), "budget"),
     )
 
 
@@ -306,23 +324,18 @@ def _check_class_distance(params: dict, where: str) -> None:
     if not isinstance(family, str) or family not in CLASS_MAX_ELL:
         raise ConfigError(f"{where}.family: must be A, B or C")
     for name in ("ell", "budget", "L", "Q"):
-        if name not in params:
-            continue
-        try:
-            value = int(params[name])
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"{where}.{name}: {exc}") from exc
-        if value < 1:
+        if name in params and _config_int(params[name], f"{where}.{name}") < 1:
             raise ConfigError(f"{where}.{name}: must be >= 1")
     top = CLASS_MAX_ELL[family]
-    if int(params["ell"]) > top:
+    if params["ell"] > top:
         raise ConfigError(f"{where}.ell: class {family} supports ell in 1..{top}")
 
 
 def _check_subsequence(params: dict, where: str) -> None:
     try:
-        checkpoints = [int(c) for c in params["checkpoints"]]
-    except (TypeError, ValueError) as exc:
+        checkpoints = [_config_int(c, f"{where}.checkpoints")
+                       for c in params["checkpoints"]]
+    except TypeError as exc:
         raise ConfigError(f"{where}.checkpoints: {exc}") from exc
     if not checkpoints or min(checkpoints) < 1:
         raise ConfigError(f"{where}.checkpoints: must be positive integers")
@@ -404,8 +417,8 @@ class SubsequenceSpec:
     def from_dict(raw: Mapping) -> "SubsequenceSpec":
         return SubsequenceSpec(
             kind=raw["kind"],
-            q=int(raw.get("q", 1)),
-            r=int(raw.get("r", 0)),
+            q=_config_int(raw.get("q", 1), "q"),
+            r=_config_int(raw.get("r", 0), "r"),
             density=raw.get("density"),
         )
 
@@ -554,8 +567,10 @@ def _build_signals(cfg: ExperimentConfig) -> list:
 
 
 def _gowers_params(params: Mapping) -> GowersParams:
-    return GowersParams(order=int(params["order"]),
-                        shift_count=params.get("H"), scale=params.get("L"))
+    H, L = (None if params.get(k) is None
+            else _config_int(params[k], f"params.{k}") for k in ("H", "L"))
+    return GowersParams(order=_config_int(params["order"], "params.order"),
+                        shift_count=H, scale=L)
 
 
 def _system_from_config(raw: Mapping, where: str) -> AffineToralSystem:
@@ -563,13 +578,22 @@ def _system_from_config(raw: Mapping, where: str) -> AffineToralSystem:
                   ("dimension", "transformations"), where)
     try:
         maps = tuple(
-            ToralMap(tuple(tuple(int(v) for v in row) for row in t["matrix"]),
+            ToralMap(tuple(tuple(_config_int(v, "matrix") for v in row)
+                           for row in t["matrix"]),
                      tuple(float(x) for x in t["alpha"]))
             for t in raw["transformations"]
         )
-        return AffineToralSystem(int(raw["dimension"]), maps)
+        return AffineToralSystem(_config_int(raw["dimension"], "dimension"),
+                                 maps)
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"{where}: {exc}") from exc
+
+
+def _coefficient(term: Mapping, where: str) -> complex:
+    c = complex(term.get("re", 1.0), term.get("im", 0.0))
+    if not cmath.isfinite(c):
+        raise ConfigError(f"{where}: coefficient {c} is not finite")
+    return c
 
 
 def _query_from_params(params: Mapping, where: str) -> CorrelationQuery:
@@ -577,17 +601,21 @@ def _query_from_params(params: Mapping, where: str) -> CorrelationQuery:
     try:
         observables = tuple(
             TrigObservable(tuple(
-                (tuple(int(v) for v in term["k"]),
-                 complex(term.get("re", 1.0), term.get("im", 0.0)))
+                (tuple(_config_int(v, f"{where}.observables.k")
+                       for v in term["k"]),
+                 _coefficient(term, f"{where}.observables"))
                 for term in obs
             ))
             for obs in params["observables"]
         )
         iterates = tuple(
-            tuple(tuple(int(c) for c in poly) for poly in row)
+            tuple(tuple(_config_int(c, f"{where}.iterates") for c in poly)
+                  for poly in row)
             for row in params["iterates"]
         )
         query = CorrelationQuery(system, observables, iterates)
+    except ConfigError:
+        raise
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"{where}: {exc}") from exc
     try:
@@ -609,8 +637,8 @@ def _run_correlate(cfg: ExperimentConfig) -> dict:
     if engine == "exact":
         signal = correlate_exact(query, cfg.window)
     else:
-        signal = correlate_numeric(query, cfg.window,
-                                   QuadratureSpec(int(cfg.params["grid"])))
+        grid = _config_int(cfg.params["grid"], "params.grid")
+        signal = correlate_numeric(query, cfg.window, QuadratureSpec(grid))
     return {"correlation.csv": signal,
             "query.json": {"engine": engine,
                            "window": [cfg.window.start, cfg.window.end]}}
@@ -618,7 +646,8 @@ def _run_correlate(cfg: ExperimentConfig) -> dict:
 
 def _run_decompose(cfg: ExperimentConfig) -> dict:
     target, = _build_signals(cfg)
-    report = decompose(target, int(cfg.params["order"]),
+    order = _config_int(cfg.params["order"], "params.order")
+    report = decompose(target, order,
                        float(cfg.params["epsilon"]),
                        _dictionary_spec(cfg.params["dictionary"]),
                        _gowers_params(cfg.params))
@@ -628,7 +657,8 @@ def _run_decompose(cfg: ExperimentConfig) -> dict:
 
 def _run_vdc(cfg: ExperimentConfig) -> dict:
     target, = _build_signals(cfg)
-    report = vdc_defect(target.values, int(cfg.params["H"]))
+    H = _config_int(cfg.params["H"], "params.H")
+    report = vdc_defect(target.values, H)
     return {"vdc.json": asdict(report)}
 
 
@@ -645,9 +675,10 @@ def _run_anti_uniformity(cfg: ExperimentConfig) -> dict:
 
 def _run_interpolate_check(cfg: ExperimentConfig) -> dict:
     rng = np.random.default_rng(cfg.seed)
-    cases = int(cfg.params["cases"])
-    ells = [int(cfg.params["ell"])] if "ell" in cfg.params else [2, 3, 4, 5]
-    dims = [int(cfg.params["dimension"])] if "dimension" in cfg.params else [1, 2, 3]
+    params = {k: _config_int(v, f"params.{k}") for k, v in cfg.params.items()}
+    cases = params["cases"]
+    ells = [params["ell"]] if "ell" in params else [2, 3, 4, 5]
+    dims = [params["dimension"]] if "dimension" in params else [1, 2, 3]
     worst = 0.0
     rows = []
     for i in range(cases):
@@ -666,14 +697,15 @@ def _run_interpolate_check(cfg: ExperimentConfig) -> dict:
 
 def _run_class_distance(cfg: ExperimentConfig) -> dict:
     target, = _build_signals(cfg)
-    scale = int(cfg.params.get("L", cfg.window.length))
+    scale = _config_int(cfg.params.get("L", cfg.window.length), "params.L")
     if scale > cfg.window.length:
         raise ConfigError(f"params.L: {scale} exceeds the window length "
                           f"{cfg.window.length}")
+    ell = _config_int(cfg.params["ell"], "params.ell")
+    budget = _config_int(cfg.params["budget"], "params.budget")
     result = class_distance(
-        target, cfg.params["family"], int(cfg.params["ell"]),
-        int(cfg.params["budget"]), scale, seed=cfg.seed,
-        freq_grid=int(cfg.params.get("Q", 64)),
+        target, cfg.params["family"], ell, budget, scale, seed=cfg.seed,
+        freq_grid=_config_int(cfg.params.get("Q", 64), "params.Q"),
     )
     return {"class_distance.json": asdict(result)}
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -496,12 +497,48 @@ def test_cli_non_object_value_exit_2(kind, field, value, tmp_path, capsys):
     ("anti-uniformity", {"b": {"kind": "linear_phase", "alpha": "x"}}, "b"),
     ("gowers", {"target": {"kind": "corpus", "family": "C", "ell": 2,
                            "index": 8}}, "target"),  # count defaults to 8
+    # non-finite coefficients, under both engines
+    ("correlate", {"observables": [[{"k": [1], "re": math.nan}],
+                                   [{"k": [-1]}]]}, "observables"),
+    ("correlate", {"observables": [[{"k": [1], "re": math.nan}],
+                                   [{"k": [-1]}]],
+                   "engine": "numeric", "grid": 4}, "observables"),
+    ("correlate", {"observables": [[{"k": [1]}],
+                                   [{"k": [-1], "im": math.inf}]]},
+     "observables"),
+    ("correlate", {"observables": [[{"k": [1]}],
+                                   [{"k": [-1], "im": math.inf}]],
+                   "engine": "numeric", "grid": 4}, "observables"),
+    # integer fields that would be truncated
+    ("correlate", {"engine": "numeric", "grid": 4.7}, "grid"),
+    ("correlate", {"observables": [[{"k": [1.9]}], [{"k": [-1]}]]},
+     "observables"),
+    ("correlate", {"iterates": [[[0, 1.5], [0]], [[0], [0, 1]]]}, "iterates"),
+    ("correlate", {"iterates": [[[0, True], [0]], [[0], [0, 1]]]}, "iterates"),
+    ("correlate", {"system": {"dimension": 1.5, "transformations": [
+        {"matrix": [[1]], "alpha": [0.25]},
+        {"matrix": [[1]], "alpha": [0.5]}]}}, "system"),
+    ("vdc-check", {"H": 8.6}, "H"),
+    ("class-distance", {"ell": 2.5}, "ell"),
+    ("class-distance", {"L": True}, "L"),
+    ("gowers", {"H": 8.6}, "H"),
+    ("interpolate-check", {"cases": 2.5}, "cases"),
+    ("gowers", {"target": {"kind": "corpus", "family": "C", "ell": 2,
+                           "index": 0.5}}, "target"),
 ])
 def test_cli_bad_param_value_exit_2(kind, overrides, field, tmp_path, capsys):
     params, end = KIND_CONFIGS[kind]
     raw = base_config(kind, dict(params, **overrides), end=end)
     assert run_cli(tmp_path, raw) == 2
     assert f"params.{field}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("start,end", [(0.9, 64.7), (True, 64)])
+def test_cli_non_integer_window_exit_2(start, end, tmp_path, capsys):
+    params, _ = KIND_CONFIGS["vdc-check"]
+    raw = base_config("vdc-check", params, start=start, end=end)
+    assert run_cli(tmp_path, raw) == 2
+    assert "window.start: must be an integer" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("start", [2**63 - 1, -2**63])

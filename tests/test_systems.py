@@ -514,6 +514,18 @@ def _numeric_per_n(q: CorrelationQuery, w: Window, G: int) -> np.ndarray:
 
 @settings(max_examples=40, deadline=None)
 @given(st.one_of(unipotent_cases(), spike_cases()), st.integers(2, 5))
+@example((  # 4 rows of 64^2 cells: a 2^14-cell block would be elided
+    CorrelationQuery(
+        AffineToralSystem.from_pairs(2, [(((1, 0), (0, 1)), (0.0, 0.0))]),
+        (TrigObservable((((0, 0), 1.0), ((0, 1), 1.5 + 1j))),), (((0, 1),),)),
+    Window(0, 4)), 64)
+@example((  # one row of 129^2 cells is already above the elision size
+    skew_spike_query(0.37, 2, 8, 2), Window(2, 7)), 129)
+@example((  # 3 rows of 5000 cells a block: 12 points make four blocks
+    diagonal_query(rotation_system(0.832, 0.1117),
+                   [TrigObservable((((1,), _GENERIC[0]), ((2,), _GENERIC[1]))),
+                    character((-1,))]),
+    Window(-10**6, -10**6 + 12)), 5000)
 def test_numeric_engine_matches_per_n_oracle(case, grid):
     q, w = case
     quad = QuadratureSpec(grid)
