@@ -299,7 +299,8 @@ def _check_engine(params: dict, where: str) -> None:
 def _dictionary_spec(dic: Mapping) -> DictionarySpec:
     return DictionarySpec(
         step=_config_int(dic["step"], "step"),
-        degrees=tuple(dic["degrees"]) if "degrees" in dic else None,
+        degrees=(tuple(_config_int(k, "degrees") for k in dic["degrees"])
+                 if "degrees" in dic else None),
         freq_resolution=_config_int(dic["Q"], "Q"),
         include_brackets=bool(dic.get("include_brackets", False)),
         ridge=dic.get("ridge"),
@@ -589,13 +590,6 @@ def _system_from_config(raw: Mapping, where: str) -> AffineToralSystem:
         raise ConfigError(f"{where}: {exc}") from exc
 
 
-def _coefficient(term: Mapping, where: str) -> complex:
-    c = complex(term.get("re", 1.0), term.get("im", 0.0))
-    if not cmath.isfinite(c):
-        raise ConfigError(f"{where}: coefficient {c} is not finite")
-    return c
-
-
 def _query_from_params(params: Mapping, where: str) -> CorrelationQuery:
     system = _system_from_config(params["system"], f"{where}.system")
     try:
@@ -603,7 +597,7 @@ def _query_from_params(params: Mapping, where: str) -> CorrelationQuery:
             TrigObservable(tuple(
                 (tuple(_config_int(v, f"{where}.observables.k")
                        for v in term["k"]),
-                 _coefficient(term, f"{where}.observables"))
+                 complex(term.get("re", 1.0), term.get("im", 0.0)))
                 for term in obs
             ))
             for obs in params["observables"]
@@ -618,6 +612,8 @@ def _query_from_params(params: Mapping, where: str) -> CorrelationQuery:
         raise
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"{where}: {exc}") from exc
+    if not all(cmath.isfinite(c) for obs in observables for _, c in obs.terms):
+        raise ConfigError(f"{where}.observables: coefficients must be finite")
     try:
         query.require_valid()
     except ValueError as exc:

@@ -576,10 +576,10 @@ def correlate_numeric(q: CorrelationQuery, w: Window, quad: QuadratureSpec,
     ``(rows, G^d)`` array per block.  A pushed coordinate ``t`` in
     ``[0, G)`` lands at ``mod1(t / G + shift)``, read from a table of its G
     values per row.  ``BLOCK_CELLS = 2**14 - 1`` for two reasons:
-    larger blocks cost memory without saving time (2**20 cells took the
-    peak RSS of a benchmark run from about 40 to 150 MB and ran slower),
-    and every block must stay below numpy's temporary elision (2**14
-    complex values, 256 KiB).  An elided ``coeff * exp(...)`` runs in place
+    larger blocks cost memory without saving time (blocks of 2**20 cells
+    raised the peak RSS of a ``correlate`` benchmark run from 46 to 172 MB
+    and slowed it by 17%), and every block must stay below numpy's
+    temporary elision (2**14 complex values, 256 KiB).  An elided ``coeff * exp(...)`` runs in place
     with its operands swapped, and the fused complex product is not bitwise
     commutative.  So no block of several rows is elided, and a row of 2**14
     cells or more is a block of its own, elided as in the per-n loop.  Every

@@ -525,6 +525,8 @@ def test_cli_non_object_value_exit_2(kind, field, value, tmp_path, capsys):
     ("interpolate-check", {"cases": 2.5}, "cases"),
     ("gowers", {"target": {"kind": "corpus", "family": "C", "ell": 2,
                            "index": 0.5}}, "target"),
+    ("decompose", {"dictionary": {"step": 2, "Q": 4, "degrees": [1.5]}},
+     "dictionary"),
 ])
 def test_cli_bad_param_value_exit_2(kind, overrides, field, tmp_path, capsys):
     params, end = KIND_CONFIGS[kind]
