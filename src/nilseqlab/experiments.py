@@ -74,6 +74,18 @@ def _config_int(value, where: str) -> int:
     raise ConfigError(f"{where}: must be an integer, got {value!r}")
 
 
+def _config_real(value, where: str, positive: bool = False) -> float:
+    """A finite number from config input, ``> 0`` when ``positive`` and
+    ``>= 0`` otherwise.  A boolean, a string or a NaN raises
+    ``ConfigError``."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        with contextlib.suppress(OverflowError):  # an int beyond float
+            if math.isfinite(value) and (value > 0 if positive else value >= 0):
+                return float(value)
+    raise ConfigError(f"{where}: must be a finite number "
+                      f"{'> 0' if positive else '>= 0'}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ExperimentKind:
     """Schema, runner and CLI entry of one experiment kind.
@@ -297,18 +309,23 @@ def _check_engine(params: dict, where: str) -> None:
 
 
 def _dictionary_spec(dic: Mapping) -> DictionarySpec:
+    brackets, ridge = dic.get("include_brackets", False), dic.get("ridge")
+    if not isinstance(brackets, bool):
+        raise ConfigError(f"include_brackets: must be true or false, "
+                          f"got {brackets!r}")
     return DictionarySpec(
         step=_config_int(dic["step"], "step"),
         degrees=(tuple(_config_int(k, "degrees") for k in dic["degrees"])
                  if "degrees" in dic else None),
         freq_resolution=_config_int(dic["Q"], "Q"),
-        include_brackets=bool(dic.get("include_brackets", False)),
-        ridge=dic.get("ridge"),
+        include_brackets=brackets,
+        ridge=None if ridge is None else _config_real(ridge, "ridge"),
         budget=_config_int(dic.get("budget", 4096), "budget"),
     )
 
 
-def _check_dictionary(params: dict, where: str) -> None:
+def _check_decompose(params: dict, where: str) -> None:
+    _config_real(params["epsilon"], f"{where}.epsilon", positive=True)
     where = f"{where}.dictionary"
     _require_keys(params["dictionary"],
                   ("step", "degrees", "Q", "include_brackets", "ridge",
@@ -318,6 +335,15 @@ def _check_dictionary(params: dict, where: str) -> None:
         _dictionary_spec(params["dictionary"])
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{where}: {exc}") from exc
+
+
+def _check_interpolate(params: dict, where: str) -> None:
+    for name, value in params.items():
+        value = _config_int(value, f"{where}.{name}")
+        if name == "ell" and not 2 <= value <= 8:  # as torus_interpolate
+            raise ConfigError(f"{where}.ell: must lie in 2..8")
+        if value < 1:
+            raise ConfigError(f"{where}.{name}: must be >= 1")
 
 
 def _check_class_distance(params: dict, where: str) -> None:
@@ -652,8 +678,10 @@ def _run_decompose(cfg: ExperimentConfig) -> dict:
 
 
 def _run_vdc(cfg: ExperimentConfig) -> dict:
-    target, = _build_signals(cfg)
     H = _config_int(cfg.params["H"], "params.H")
+    if not 1 <= H < cfg.window.length:
+        raise ConfigError(f"params.H: must lie in 1..{cfg.window.length - 1}")
+    target, = _build_signals(cfg)
     report = vdc_defect(target.values, H)
     return {"vdc.json": asdict(report)}
 
@@ -733,7 +761,7 @@ KINDS: dict[str, ExperimentKind] = {
     "decompose": ExperimentKind(
         "structured-plus-error split against a dictionary", _run_decompose,
         required=("target", "order", "epsilon", "dictionary"),
-        optional=("H", "L"), signals=("target",), check=_check_dictionary),
+        optional=("H", "L"), signals=("target",), check=_check_decompose),
     "vdc-check": ExperimentKind(
         "van der Corput difference comparison", _run_vdc,
         required=("target", "H"), signals=("target",)),
@@ -743,7 +771,8 @@ KINDS: dict[str, ExperimentKind] = {
         signals=("a", "b")),
     "interpolate-check": ExperimentKind(
         "base-point interpolation identity check", _run_interpolate_check,
-        required=("cases",), optional=("ell", "dimension")),
+        required=("cases",), optional=("ell", "dimension"),
+        check=_check_interpolate),
     "class-distance": ExperimentKind(
         "distance from a signal to a sequence class", _run_class_distance,
         required=("target", "family", "ell", "budget"), optional=("L", "Q"),

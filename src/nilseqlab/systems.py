@@ -1,22 +1,22 @@
 """Commuting unipotent affine maps on tori and their correlation sequences.
 
-A transformation is ``x -> A x + alpha`` on the d-torus with A an integer
-unipotent matrix, so every power has the closed form
-
-    ``A^p = sum_k C(p, k) N^k``,   ``shift(p) = sum_k C(p, k+1) N^k alpha``
-
-with ``N = A - I`` nilpotent; the generalized binomials are integers for
-every integer p, which makes arbitrary (also negative and polynomially
-large) iterates exact.
+A transformation ``x -> A x + alpha`` on the d-torus, with A an integer
+unipotent matrix, is kept as its exact affine matrix
+``M = [[A, alpha], [0, 1]]`` of size d+1, so that a composition is one
+matrix product and a power is the terminating binomial sum of
+:func:`map_power`.  The generalized binomials are integers for every
+integer p, which makes arbitrary (also negative and polynomially large)
+iterates exact.
 
 Two engines evaluate ``a(n) = integral of prod_j f_j(U_j(n) x) dx`` for
 trigonometric observables f_j:
 
-* the exact engine pushes each character through the affine map
-  (``e_k o T = e^{2 pi i k.alpha} e_{A^T k}``).  Along polynomial iterates
-  every pushed frequency and every phase is a polynomial in n, so each term
-  combination falls on one side of the nilsequence + null split once and
-  for all (:func:`correlation_structure`): its total frequency is either
+* the exact engine pushes each character through the affine map:
+  ``e_k o T = e^{2 pi i k.alpha} e_{A^T k}`` is read off the row
+  ``(k, 0) M``.  Along polynomial iterates every pushed frequency and every
+  phase is a polynomial in n, so each term combination falls on one side
+  of the nilsequence + null split once and for all
+  (:func:`correlation_structure`): its total frequency is either
   identically zero, giving a polynomial-phase atom ``c e(phase(n))`` at
   every n, or vanishes only at finitely many integers, giving spikes.  A
   window is then evaluated in closed form, each phase ``P(n) / D`` reduced
@@ -68,33 +68,15 @@ def _as_int_matrix(m) -> Matrix:
         raise ValueError("matrix entries must be integers")
     return rows
 
-def _mat_identity(d: int) -> Matrix:
-    return tuple(tuple(1 if i == j else 0 for j in range(d)) for i in range(d))
-
 
 def _mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    d = len(a)
+    """Exact matrix product.  Zero factors are skipped, so the ``0 / 1``
+    bottom rows of affine matrices cost no ``Fraction`` arithmetic."""
+    cols = tuple(zip(*b))
     return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(d)) for j in range(d))
-        for i in range(d)
+        tuple(sum(x * y for x, y in zip(row, col) if x and y) for col in cols)
+        for row in a
     )
-
-
-def _mat_add(a: Matrix, b: Matrix, coeff: int = 1) -> Matrix:
-    d = len(a)
-    return tuple(
-        tuple(a[i][j] + coeff * b[i][j] for j in range(d)) for i in range(d)
-    )
-
-
-def _mat_vec_transposed(m: Matrix, v: Tuple[int, ...]) -> Tuple[int, ...]:
-    """``m^T v`` over the integers."""
-    d = len(m)
-    return tuple(sum(m[i][j] * v[i] for i in range(d)) for j in range(d))
-
-
-def _is_zero(m: Matrix) -> bool:
-    return all(all(v == 0 for v in row) for row in m)
 
 
 def generalized_binomial(p: int, k: int) -> int:
@@ -139,64 +121,48 @@ class ToralMap:
         return tuple(Fraction(s) for s in self.shift)
 
 
+def _affine(tm: ToralMap) -> Matrix:
+    """The affine matrix ``[[A, alpha], [0, 1]]`` of ``x -> A x + alpha``."""
+    rows = tuple(row + (a,) for row, a in zip(tm.matrix, tm.shift_fractions()))
+    return rows + ((0,) * tm.dimension + (1,),)
+
+
 @lru_cache(maxsize=256)
-def _nilpotent_data(tm: ToralMap):
-    """Powers N^k of the nilpotent part and the vectors N^k alpha (exact)."""
-    d = tm.dimension
-    nil = _mat_add(tm.matrix, _mat_identity(d), coeff=-1)
-    powers = [_mat_identity(d)]
-    for _ in range(1, d):
+def _nilpotent_powers(tm: ToralMap) -> Tuple[Matrix, ...]:
+    """``K^0, ..., K^(d+1)`` for ``K = M - I`` of the affine matrix M."""
+    m = _affine(tm)
+    nil = tuple(tuple(v - (i == j) for j, v in enumerate(row))
+                for i, row in enumerate(m))
+    powers = [tuple(tuple(int(i == j) for j in range(len(m)))
+                    for i in range(len(m)))]
+    for _ in range(len(m)):
         powers.append(_mat_mul(powers[-1], nil))
-    alpha = tm.shift_fractions()
-    shift_vecs = []
-    for pw in powers:
-        shift_vecs.append(
-            tuple(sum(Fraction(pw[i][j]) * alpha[j] for j in range(d))
-                  for i in range(d))
-        )
-    return tuple(powers), tuple(shift_vecs), nil
+    return tuple(powers)
 
 
 def is_unipotent(tm: ToralMap) -> bool:
-    powers, _, nil = _nilpotent_data(tm)
-    return _is_zero(_mat_mul(powers[-1], nil))
+    """``K^(d+1) = 0``: A is unipotent exactly when N is nilpotent, and then
+    ``N^d alpha`` vanishes too."""
+    return not any(any(row) for row in _nilpotent_powers(tm)[-1])
 
 
-def map_power(tm: ToralMap, p: int) -> Tuple[Matrix, Tuple[Fraction, ...]]:
-    """Matrix and exact shift of ``tm^p`` for any integer p.
+def map_power(tm: ToralMap, p: int) -> Matrix:
+    """Exact affine matrix of ``tm^p`` for any integer p.
 
-    Valid because the nilpotent expansion of A^p terminates at N^(d-1);
-    the shift uses the hockey-stick identity
-    ``sum_{j<p} C(j, k) = C(p, k+1)``, which extends to negative p through
-    the generalized binomials.
+    ``M^p = (I + K)^p = sum_{k <= d} C(p, k) K^k`` with ``K = M - I``.  The
+    series terminates because ``K^k = [[N^k, N^(k-1) alpha], [0, 0]]`` with
+    ``N = A - I`` nilpotent, so ``K^(d+1) = 0``; it holds for negative p
+    through the generalized binomials.  The shift column is the
+    hockey-stick sum ``sum_{k<d} C(p, k+1) N^k alpha`` by itself.
     """
-    powers, shift_vecs, _ = _nilpotent_data(tm)
-    d = tm.dimension
-    mat = None
-    shift = [Fraction(0)] * d
-    for k in range(d):
-        ck = generalized_binomial(p, k)
-        term = tuple(tuple(ck * v for v in row) for row in powers[k])
-        mat = term if mat is None else _mat_add(mat, term)
-        ck1 = generalized_binomial(p, k + 1)
-        if ck1 != 0:
-            vec = shift_vecs[k]
-            shift = [s + ck1 * v for s, v in zip(shift, vec)]
-    return mat, tuple(shift)
-
-
-def _compose(outer: Tuple[Matrix, Tuple[Fraction, ...]],
-             inner: Tuple[Matrix, Tuple[Fraction, ...]]):
-    """Affine composition: apply ``inner`` first, then ``outer``."""
-    m2, s2 = outer
-    m1, s1 = inner
-    d = len(m2)
-    mat = _mat_mul(m2, m1)
-    shift = tuple(
-        sum(Fraction(m2[i][j]) * s1[j] for j in range(d)) + s2[i]
-        for i in range(d)
+    powers = _nilpotent_powers(tm)[:-1]
+    coeffs = [generalized_binomial(p, k) for k in range(len(powers))]
+    size = range(len(powers[0]))
+    return tuple(
+        tuple(sum(c * pw[r][s] for c, pw in zip(coeffs, powers) if c)
+              for s in size)
+        for r in size
     )
-    return mat, shift
 
 
 @dataclass(frozen=True)
@@ -251,14 +217,15 @@ def validate_system(s: AffineToralSystem) -> SystemValidation:
     for idx, tm in enumerate(s.transformations):
         if not is_unipotent(tm):
             violations.append(f"transformation {idx}: matrix is not unipotent")
-    affines = [(tm.matrix, tm.shift_fractions()) for tm in s.transformations]
+    d = s.dimension
+    affines = [_affine(tm) for tm in s.transformations]
     for i, j in itertools.combinations(range(len(affines)), 2):
-        ij_matrix, ij_shift = _compose(affines[i], affines[j])
-        ji_matrix, ji_shift = _compose(affines[j], affines[i])
-        if ij_matrix != ji_matrix:
+        ij = _mat_mul(affines[i], affines[j])
+        ji = _mat_mul(affines[j], affines[i])
+        if any(x[:d] != y[:d] for x, y in zip(ij, ji)):
             violations.append(f"pair ({i}, {j}): matrices do not commute")
             continue
-        worst = max(_mod1_distance(x - y) for x, y in zip(ij_shift, ji_shift))
+        worst = max(_mod1_distance(x[d] - y[d]) for x, y in zip(ij, ji))
         if worst > COMMUTATION_TOL:
             violations.append(
                 f"pair ({i}, {j}): affine parts differ mod 1 by {worst:.3e}"
@@ -379,15 +346,14 @@ def single_map_query(system: AffineToralSystem,
     return CorrelationQuery(system, tuple(observables), iterates)
 
 
-def _slot_affines(q: CorrelationQuery, n: int):
-    """(matrix, exact shift) of ``prod_i T_i^{p[i][j](n)}`` for each slot j."""
-    d = q.system.dimension
+def _slot_affines(q: CorrelationQuery, n: int) -> Tuple[Matrix, ...]:
+    """Exact affine matrix of ``prod_i T_i^{p[i][j](n)}`` for each slot j."""
+    maps = q.system.transformations
     out = []
     for j in range(len(q.observables)):
-        acc = (_mat_identity(d), tuple(Fraction(0) for _ in range(d)))
-        for i, tm in enumerate(q.system.transformations):
-            p = poly_eval(q.iterates[i][j], n)
-            acc = _compose(map_power(tm, p), acc)
+        acc = map_power(maps[0], poly_eval(q.iterates[0][j], n))
+        for tm, row in zip(maps[1:], q.iterates[1:]):
+            acc = _mat_mul(map_power(tm, poly_eval(row[j], n)), acc)
         out.append(acc)
     return tuple(out)
 
@@ -480,10 +446,11 @@ def _slot_samples(q: CorrelationQuery) -> tuple:
 
     Every slot map ``prod_i T_i^{p[i][j](n)}`` has matrix entries of degree
     at most ``(d-1) s_j`` and shift components of degree at most ``d s_j``
-    in n, where ``s_j = sum_i deg p[i][j]`` (``A^p = sum_{k<d} C(p,k) N^k``,
-    shift ``sum_{k<d} C(p,k+1) N^k alpha``).  The samples at ``n = 0..D``
-    with ``D = d max_j s_j`` therefore determine every entry, and every
-    linear combination of entries, as a polynomial in n by interpolation.
+    in n, where ``s_j = sum_i deg p[i][j]`` (``M^p = sum_{k<=d} C(p,k) K^k``
+    and the matrix block ``N^d`` of ``K^d`` is zero).  The samples at
+    ``n = 0..D`` with ``D = d max_j s_j`` therefore determine every entry,
+    and every linear combination of entries, as a polynomial in n by
+    interpolation.
     """
     d = q.system.dimension
     degree = d * max(sum(max(len(row[j]) - 1, 0) for row in q.iterates)
@@ -502,27 +469,28 @@ def correlation_structure(q: CorrelationQuery) -> CorrelationStructure:
     """
     q.require_valid()
     samples = _slot_samples(q)
+    d = q.system.dimension
     slots = []
     pushed: list[ExactPoly] = []
     for j, obs in enumerate(q.observables):
         terms = []
         for freq, coeff in obs.terms:
-            freqs = [_mat_vec_transposed(s[j][0], freq) for s in samples]
-            phases = [sum(k * b for k, b in zip(freq, s[j][1])) for s in samples]
-            pushed.extend(ExactPoly.through(col) for col in zip(*freqs))
-            terms.append((coeff, freqs, phases))
+            # the row (k, 0) M: pushed frequency A^T k, then the phase k.alpha
+            rows = [_mat_mul((freq + (0,),), s[j])[0] for s in samples]
+            columns = list(zip(*rows))
+            pushed.extend(ExactPoly.through(col) for col in columns[:d])
+            terms.append((coeff, rows))
         slots.append(terms)
     combinations = []
     for combo in itertools.product(*slots):
         const = 1.0 + 0.0j
-        for coeff, _, _ in combo:
+        for coeff, _ in combo:
             const *= coeff
-        totals = [[sum(col) for col in zip(*vecs)]
-                  for vecs in zip(*(freqs for _, freqs, _ in combo))]
-        phases = [sum(col) for col in zip(*(ph for _, _, ph in combo))]
-        frequency = tuple(ExactPoly.through(col) for col in zip(*totals))
+        totals = [[sum(col) for col in zip(*at)]
+                  for at in zip(*(rows for _, rows in combo))]
+        polys = [ExactPoly.through(col) for col in zip(*totals)]
         combinations.append(
-            TermCombination(const, ExactPoly.through(phases), frequency))
+            TermCombination(const, polys[d], tuple(polys[:d])))
     return CorrelationStructure(tuple(combinations), tuple(pushed), samples)
 
 
@@ -605,11 +573,11 @@ def correlate_numeric(q: CorrelationQuery, w: Window, quad: QuadratureSpec,
     mats, shifts = [], []
     for j in range(len(q.observables)):
         mats.append(np.moveaxis(np.array([
-            [np.asarray(ExactPoly.through([s[j][0][r][c] for s in samples])
+            [np.asarray(ExactPoly.through([s[j][r][c] for s in samples])
                         .values(ns) % G, dtype=np.int64) for c in range(d)]
             for r in range(d)]), 2, 0))
         shifts.append(np.array([
-            ExactPoly.through([s[j][1][r] for s in samples]).fracs(ns)
+            ExactPoly.through([s[j][r][d] for s in samples]).fracs(ns)
             for r in range(d)]).T)
     grid = np.indices((G,) * d).reshape(d, -1)  # (d, G^d)
     levels = np.arange(G) / G

@@ -527,6 +527,22 @@ def test_cli_non_object_value_exit_2(kind, field, value, tmp_path, capsys):
                            "index": 0.5}}, "target"),
     ("decompose", {"dictionary": {"step": 2, "Q": 4, "degrees": [1.5]}},
      "dictionary"),
+    # epsilon must be a finite positive number: NaN would be written into
+    # decomposition.json as invalid JSON
+    ("decompose", {"epsilon": math.nan}, "epsilon"),
+    ("decompose", {"epsilon": -1}, "epsilon"),
+    ("decompose", {"epsilon": "x"}, "epsilon"),
+    ("decompose", {"epsilon": True}, "epsilon"),
+    ("decompose", {"dictionary": {"step": 1, "Q": 8, "ridge": math.nan}},
+     "dictionary"),
+    ("decompose", {"dictionary": {"step": 1, "Q": 8,
+                                  "include_brackets": "no"}}, "dictionary"),
+    ("vdc-check", {"H": 0}, "H"),
+    ("vdc-check", {"H": 64}, "H"),  # the window has 64 points
+    ("interpolate-check", {"cases": -1}, "cases"),
+    ("interpolate-check", {"cases": 4, "ell": 1}, "ell"),
+    ("interpolate-check", {"cases": 4, "ell": 9}, "ell"),
+    ("interpolate-check", {"cases": 4, "dimension": 0}, "dimension"),
 ])
 def test_cli_bad_param_value_exit_2(kind, overrides, field, tmp_path, capsys):
     params, end = KIND_CONFIGS[kind]

@@ -36,7 +36,6 @@ from nilseqlab.systems import (
     FREQUENCY_GUARD,
     FrequencyOverflowError,
     TrigObservable,
-    _mat_vec_transposed,
     _slot_affines,
     generalized_binomial,
     map_power,
@@ -44,6 +43,19 @@ from nilseqlab.systems import (
 )
 
 SKEW = ((1, 0), (1, 1))
+
+
+def _split(affine):
+    """(matrix, shift) of the affine matrix ``[[A, alpha], [0, 1]]``."""
+    d = len(affine) - 1
+    rows = affine[:d]
+    return tuple(row[:d] for row in rows), tuple(row[d] for row in rows)
+
+
+def _mat_vec_transposed(m, v):
+    """``m^T v`` over the integers."""
+    d = len(m)
+    return tuple(sum(m[i][j] * v[i] for i in range(d)) for j in range(d))
 
 
 def rotation_system(*alphas: float) -> AffineToralSystem:
@@ -74,7 +86,7 @@ def test_poly_eval():
 def test_map_power_matches_repeated_composition():
     tm = ToralMap(SKEW, (0.3, 0.7))
     for p in (0, 1, 2, 3, 7, -1, -2, -5):
-        mat, shift = map_power(tm, p)
+        mat, shift = _split(map_power(tm, p))
         # brute force by composing p times (inverse map for negative p)
         x = (Fraction(1, 3), Fraction(2, 7))
         ax = tuple(Fraction(s) for s in tm.shift)
@@ -336,7 +348,7 @@ def _correlate_per_n(q: CorrelationQuery, w: Window) -> Signal:
     values = np.zeros(w.length, dtype=np.complex128)
     term_lists = [obs.terms for obs in q.observables]
     for idx, n in enumerate(range(w.start, w.end)):
-        affines = _slot_affines(q, n)
+        affines = map(_split, _slot_affines(q, n))
         pushed = []
         for (mat, shift), terms in zip(affines, term_lists):
             slot = []
@@ -371,7 +383,7 @@ def _grid_size_per_n(q: CorrelationQuery, w: Window) -> int:
     worst = 1
     term_lists = [obs.terms for obs in q.observables]
     for n in range(w.start, w.end):
-        affines = _slot_affines(q, n)
+        affines = map(_split, _slot_affines(q, n))
         pushed = []
         for (mat, _), terms in zip(affines, term_lists):
             slot = []
@@ -451,6 +463,34 @@ def unipotent_cases(draw):
 
 
 @st.composite
+def unitriangular_maps(draw):
+    """A lower-unitriangular integer map of dimension 1-3 with a dyadic
+    shift."""
+    d = draw(st.integers(1, 3))
+    matrix = tuple(
+        tuple(1 if i == j else draw(st.integers(-2, 2)) if j < i else 0
+              for j in range(d))
+        for i in range(d)
+    )
+    return ToralMap(matrix, tuple(_dyadic(draw) for _ in range(d)))
+
+
+def _product(a, b):
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in zip(*b))
+                 for row in a)
+
+
+@settings(max_examples=60, deadline=None)
+@given(unitriangular_maps(), st.integers(-50, 50), st.integers(-50, 50))
+def test_map_power_group_law(tm, p, q):
+    size = tm.dimension + 1
+    identity = tuple(tuple(int(i == j) for j in range(size))
+                     for i in range(size))
+    assert map_power(tm, 0) == identity
+    assert _product(map_power(tm, p), map_power(tm, q)) == map_power(tm, p + q)
+
+
+@st.composite
 def spike_cases(draw):
     """Skew pair S^{p(n)}, S^{p(n)+n} with a spike at an n* in the window,
     optionally with a constant term in both observables (atoms + spikes)."""
@@ -495,7 +535,8 @@ def _numeric_per_n(q: CorrelationQuery, w: Window, G: int) -> np.ndarray:
     values = np.empty(w.length, dtype=np.complex128)
     for idx, n in enumerate(range(w.start, w.end)):
         prod = np.ones(grid.shape[1], dtype=np.complex128)
-        for (mat, shift), obs in zip(_slot_affines(q, n), q.observables):
+        for (mat, shift), obs in zip(map(_split, _slot_affines(q, n)),
+                                     q.observables):
             mat_mod = np.array(
                 [[int(v % G) for v in row] for row in mat], dtype=np.int64
             )
