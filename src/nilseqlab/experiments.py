@@ -88,20 +88,25 @@ def _config_real(value, where: str, positive: bool = False) -> float:
 
 @dataclass(frozen=True)
 class ExperimentKind:
-    """Schema, runner and CLI entry of one experiment kind.
+    """Schema, parser, runner and CLI entry of one experiment kind.
 
-    ``signals`` names the params that hold signal specs; ``check`` validates
-    what the schema cannot; ``run`` maps a config to its artifacts, ``{file
-    name: dict (JSON), Signal (CSV) or list of CSV rows}``; ``command`` is
-    the CLI spelling when it differs from the kind.
+    ``signals`` names the params that hold signal specs.  ``parse(params,
+    window, where)`` reads every other param into the typed value the
+    runner takes, checks it against the window, and returns the runner's
+    keyword arguments; a bad value raises ``ConfigError`` naming
+    ``where.<field>``.  Loading a config parses it, and so does every run,
+    so a config built by hand is checked too.  ``run(cfg, **parsed)`` maps
+    a config to its artifacts, ``{file name: dict (JSON), Signal (CSV) or
+    list of CSV rows}``; ``command`` is the CLI spelling when it differs
+    from the kind.
     """
 
     help: str
-    run: Callable[["ExperimentConfig"], dict]
+    parse: Callable[[dict, Window, str], dict]
+    run: Callable[..., dict]
     required: Tuple[str, ...]
     optional: Tuple[str, ...] = ()
     signals: Tuple[str, ...] = ()
-    check: Union[Callable[[dict, str], None], None] = None
     command: Union[str, None] = None
 
 
@@ -162,8 +167,7 @@ def config_from_dict(raw: Mapping, source: str = "<config>") -> ExperimentConfig
     params = dict(raw["params"])
     for name in spec.signals:
         params[name] = validate_signal_spec(params[name], f"{where}.{name}")
-    if spec.check is not None:
-        spec.check(params, where)
+    spec.parse(params, window, where)
     return ExperimentConfig(
         kind=kind,
         window=window,
@@ -290,92 +294,6 @@ def build_signal(spec: Mapping, window: Window, rng: np.random.Generator,
 
 
 # ---------------------------------------------------------------------------
-# per-kind checks beyond the param schema
-# ---------------------------------------------------------------------------
-
-def _check_engine(params: dict, where: str) -> None:
-    engine = params.get("engine", "exact")
-    if engine not in ("exact", "numeric"):
-        raise ConfigError(f"{where}.engine: must be 'exact' or 'numeric'")
-    if engine != "numeric":
-        return
-    if "grid" not in params:
-        raise ConfigError(f"{where}.grid: required for the numeric engine")
-    grid = _config_int(params["grid"], f"{where}.grid")
-    try:
-        QuadratureSpec(grid)
-    except ValueError as exc:
-        raise ConfigError(f"{where}.grid: {exc}") from exc
-
-
-def _dictionary_spec(dic: Mapping) -> DictionarySpec:
-    brackets, ridge = dic.get("include_brackets", False), dic.get("ridge")
-    if not isinstance(brackets, bool):
-        raise ConfigError(f"include_brackets: must be true or false, "
-                          f"got {brackets!r}")
-    return DictionarySpec(
-        step=_config_int(dic["step"], "step"),
-        degrees=(tuple(_config_int(k, "degrees") for k in dic["degrees"])
-                 if "degrees" in dic else None),
-        freq_resolution=_config_int(dic["Q"], "Q"),
-        include_brackets=brackets,
-        ridge=None if ridge is None else _config_real(ridge, "ridge"),
-        budget=_config_int(dic.get("budget", 4096), "budget"),
-    )
-
-
-def _check_decompose(params: dict, where: str) -> None:
-    _config_real(params["epsilon"], f"{where}.epsilon", positive=True)
-    where = f"{where}.dictionary"
-    _require_keys(params["dictionary"],
-                  ("step", "degrees", "Q", "include_brackets", "ridge",
-                   "budget"),
-                  ("step", "Q"), where)
-    try:
-        _dictionary_spec(params["dictionary"])
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
-
-
-def _check_interpolate(params: dict, where: str) -> None:
-    for name, value in params.items():
-        value = _config_int(value, f"{where}.{name}")
-        if name == "ell" and not 2 <= value <= 8:  # as torus_interpolate
-            raise ConfigError(f"{where}.ell: must lie in 2..8")
-        if value < 1:
-            raise ConfigError(f"{where}.{name}: must be >= 1")
-
-
-def _check_class_distance(params: dict, where: str) -> None:
-    family = params["family"]
-    if not isinstance(family, str) or family not in CLASS_MAX_ELL:
-        raise ConfigError(f"{where}.family: must be A, B or C")
-    for name in ("ell", "budget", "L", "Q"):
-        if name in params and _config_int(params[name], f"{where}.{name}") < 1:
-            raise ConfigError(f"{where}.{name}: must be >= 1")
-    top = CLASS_MAX_ELL[family]
-    if params["ell"] > top:
-        raise ConfigError(f"{where}.ell: class {family} supports ell in 1..{top}")
-
-
-def _check_subsequence(params: dict, where: str) -> None:
-    try:
-        checkpoints = [_config_int(c, f"{where}.checkpoints")
-                       for c in params["checkpoints"]]
-    except TypeError as exc:
-        raise ConfigError(f"{where}.checkpoints: {exc}") from exc
-    if not checkpoints or min(checkpoints) < 1:
-        raise ConfigError(f"{where}.checkpoints: must be positive integers")
-    where = f"{where}.subsequence"
-    raw = params["subsequence"]
-    _require_keys(raw, ("kind", "q", "r", "density"), ("kind",), where)
-    try:
-        SubsequenceSpec.from_dict(raw)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
-
-
-# ---------------------------------------------------------------------------
 # subsequences r_n with at most linear growth
 # ---------------------------------------------------------------------------
 
@@ -439,15 +357,6 @@ class SubsequenceSpec:
         """Smallest c with r_n <= c * n over the generated prefix."""
         ns = np.arange(1, len(terms) + 1, dtype=float)
         return float(np.max(terms / ns))
-
-    @staticmethod
-    def from_dict(raw: Mapping) -> "SubsequenceSpec":
-        return SubsequenceSpec(
-            kind=raw["kind"],
-            q=_config_int(raw.get("q", 1), "q"),
-            r=_config_int(raw.get("r", 0), "r"),
-            density=raw.get("density"),
-        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -593,13 +502,6 @@ def _build_signals(cfg: ExperimentConfig) -> list:
     return signals
 
 
-def _gowers_params(params: Mapping) -> GowersParams:
-    H, L = (None if params.get(k) is None
-            else _config_int(params[k], f"params.{k}") for k in ("H", "L"))
-    return GowersParams(order=_config_int(params["order"], "params.order"),
-                        shift_count=H, scale=L)
-
-
 def _system_from_config(raw: Mapping, where: str) -> AffineToralSystem:
     _require_keys(raw, ("dimension", "transformations"),
                   ("dimension", "transformations"), where)
@@ -647,48 +549,94 @@ def _query_from_params(params: Mapping, where: str) -> CorrelationQuery:
     return query
 
 
-def _run_gowers(cfg: ExperimentConfig) -> dict:
+def _parse_gowers(params: dict, window: Window, where: str) -> dict:
+    H, L = (None if params.get(k) is None
+            else _config_int(params[k], f"{where}.{k}") for k in ("H", "L"))
+    return {"gowers": GowersParams(_config_int(params["order"], f"{where}.order"),
+                                   shift_count=H, scale=L)}
+
+
+def _run_gowers(cfg: ExperimentConfig, gowers: GowersParams) -> dict:
     target, = _build_signals(cfg)
-    report = ghk_seminorm(target, _gowers_params(cfg.params))
-    return {"gowers_report.json": report.to_json_dict()}
+    return {"gowers_report.json": ghk_seminorm(target, gowers).to_json_dict()}
 
 
-def _run_correlate(cfg: ExperimentConfig) -> dict:
-    query = _query_from_params(cfg.params, "params")
-    engine = cfg.params.get("engine", "exact")
-    if engine == "exact":
+def _parse_correlate(params: dict, window: Window, where: str) -> dict:
+    engine = params.get("engine", "exact")
+    if engine not in ("exact", "numeric"):
+        raise ConfigError(f"{where}.engine: must be 'exact' or 'numeric'")
+    quadrature = None
+    if engine == "numeric":
+        if "grid" not in params:
+            raise ConfigError(f"{where}.grid: required for the numeric engine")
+        grid = _config_int(params["grid"], f"{where}.grid")
+        try:
+            quadrature = QuadratureSpec(grid)
+        except ValueError as exc:
+            raise ConfigError(f"{where}.grid: {exc}") from exc
+    return {"query": _query_from_params(params, where), "quadrature": quadrature}
+
+
+def _run_correlate(cfg: ExperimentConfig, query: CorrelationQuery,
+                   quadrature: Union[QuadratureSpec, None]) -> dict:
+    if quadrature is None:
         signal = correlate_exact(query, cfg.window)
     else:
-        grid = _config_int(cfg.params["grid"], "params.grid")
-        signal = correlate_numeric(query, cfg.window, QuadratureSpec(grid))
+        signal = correlate_numeric(query, cfg.window, quadrature)
     return {"correlation.csv": signal,
-            "query.json": {"engine": engine,
+            "query.json": {"engine": "exact" if quadrature is None else "numeric",
                            "window": [cfg.window.start, cfg.window.end]}}
 
 
-def _run_decompose(cfg: ExperimentConfig) -> dict:
+def _parse_decompose(params: dict, window: Window, where: str) -> dict:
+    parsed = _parse_gowers(params, window, where)
+    parsed["epsilon"] = _config_real(params["epsilon"], f"{where}.epsilon",
+                                     positive=True)
+    where, dic = f"{where}.dictionary", params["dictionary"]
+    _require_keys(dic, ("step", "degrees", "Q", "include_brackets", "ridge",
+                        "budget"), ("step", "Q"), where)
+    brackets, ridge = dic.get("include_brackets", False), dic.get("ridge")
+    try:
+        if not isinstance(brackets, bool):
+            raise ConfigError(f"include_brackets: must be true or false, "
+                              f"got {brackets!r}")
+        parsed["dictionary"] = DictionarySpec(
+            step=_config_int(dic["step"], "step"),
+            degrees=(tuple(_config_int(k, "degrees") for k in dic["degrees"])
+                     if "degrees" in dic else None),
+            freq_resolution=_config_int(dic["Q"], "Q"),
+            include_brackets=brackets,
+            ridge=None if ridge is None else _config_real(ridge, "ridge"),
+            budget=_config_int(dic.get("budget", 4096), "budget"),
+        )
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+    return parsed
+
+
+def _run_decompose(cfg: ExperimentConfig, gowers: GowersParams, epsilon: float,
+                   dictionary: DictionarySpec) -> dict:
     target, = _build_signals(cfg)
-    order = _config_int(cfg.params["order"], "params.order")
-    report = decompose(target, order,
-                       float(cfg.params["epsilon"]),
-                       _dictionary_spec(cfg.params["dictionary"]),
-                       _gowers_params(cfg.params))
+    report = decompose(target, gowers.order, epsilon, dictionary, gowers)
     return {"decomposition.json": report.to_json_dict(),
             "a_st.csv": report.a_st, "a_er.csv": report.a_er}
 
 
-def _run_vdc(cfg: ExperimentConfig) -> dict:
-    H = _config_int(cfg.params["H"], "params.H")
-    if not 1 <= H < cfg.window.length:
-        raise ConfigError(f"params.H: must lie in 1..{cfg.window.length - 1}")
+def _parse_vdc(params: dict, window: Window, where: str) -> dict:
+    H = _config_int(params["H"], f"{where}.H")
+    if not 1 <= H < window.length:
+        raise ConfigError(f"{where}.H: must lie in 1..{window.length - 1}")
+    return {"H": H}
+
+
+def _run_vdc(cfg: ExperimentConfig, H: int) -> dict:
     target, = _build_signals(cfg)
-    report = vdc_defect(target.values, H)
-    return {"vdc.json": asdict(report)}
+    return {"vdc.json": asdict(vdc_defect(target.values, H))}
 
 
-def _run_anti_uniformity(cfg: ExperimentConfig) -> dict:
+def _run_anti_uniformity(cfg: ExperimentConfig, gowers: GowersParams) -> dict:
     a, b = _build_signals(cfg)
-    report = anti_uniformity_ratio(a, b, _gowers_params(cfg.params))
+    report = anti_uniformity_ratio(a, b, gowers)
     return {"anti_uniformity.json": {
         "correlation": report.correlation,
         "bound": report.bound,
@@ -697,12 +645,23 @@ def _run_anti_uniformity(cfg: ExperimentConfig) -> dict:
     }}
 
 
-def _run_interpolate_check(cfg: ExperimentConfig) -> dict:
+def _parse_interpolate(params: dict, window: Window, where: str) -> dict:
+    parsed = {}
+    for name, value in params.items():
+        parsed[name] = value = _config_int(value, f"{where}.{name}")
+        if name == "ell" and not 2 <= value <= 8:  # as torus_interpolate
+            raise ConfigError(f"{where}.ell: must lie in 2..8")
+        if value < 1:
+            raise ConfigError(f"{where}.{name}: must be >= 1")
+    return parsed
+
+
+def _run_interpolate_check(cfg: ExperimentConfig, cases: int,
+                           ell: Union[int, None] = None,
+                           dimension: Union[int, None] = None) -> dict:
     rng = np.random.default_rng(cfg.seed)
-    params = {k: _config_int(v, f"params.{k}") for k, v in cfg.params.items()}
-    cases = params["cases"]
-    ells = [params["ell"]] if "ell" in params else [2, 3, 4, 5]
-    dims = [params["dimension"]] if "dimension" in params else [1, 2, 3]
+    ells = [2, 3, 4, 5] if ell is None else [ell]
+    dims = [1, 2, 3] if dimension is None else [dimension]
     worst = 0.0
     rows = []
     for i in range(cases):
@@ -719,28 +678,60 @@ def _run_interpolate_check(cfg: ExperimentConfig) -> dict:
     return {"interpolation.json": {"cases": rows, "max_error": worst}}
 
 
-def _run_class_distance(cfg: ExperimentConfig) -> dict:
+def _parse_class_distance(params: dict, window: Window, where: str) -> dict:
+    family = params["family"]
+    if not isinstance(family, str) or family not in CLASS_MAX_ELL:
+        raise ConfigError(f"{where}.family: must be A, B or C")
+    values = {"L": window.length, "Q": 64, **params}
+    parsed = {"family": family}
+    for name in ("ell", "budget", "L", "Q"):
+        parsed[name] = _config_int(values[name], f"{where}.{name}")
+        if parsed[name] < 1:
+            raise ConfigError(f"{where}.{name}: must be >= 1")
+    top = CLASS_MAX_ELL[family]
+    if parsed["ell"] > top:
+        raise ConfigError(f"{where}.ell: class {family} supports ell in 1..{top}")
+    if parsed["L"] > window.length:
+        raise ConfigError(f"{where}.L: {parsed['L']} exceeds the window length "
+                          f"{window.length}")
+    return parsed
+
+
+def _run_class_distance(cfg: ExperimentConfig, family: str, ell: int,
+                        budget: int, L: int, Q: int) -> dict:
     target, = _build_signals(cfg)
-    scale = _config_int(cfg.params.get("L", cfg.window.length), "params.L")
-    if scale > cfg.window.length:
-        raise ConfigError(f"params.L: {scale} exceeds the window length "
-                          f"{cfg.window.length}")
-    ell = _config_int(cfg.params["ell"], "params.ell")
-    budget = _config_int(cfg.params["budget"], "params.budget")
-    result = class_distance(
-        target, cfg.params["family"], ell, budget, scale, seed=cfg.seed,
-        freq_grid=_config_int(cfg.params.get("Q", 64), "params.Q"),
-    )
+    result = class_distance(target, family, ell, budget, L, seed=cfg.seed,
+                            freq_grid=Q)
     return {"class_distance.json": asdict(result)}
 
 
-def _run_subsequence_average(cfg: ExperimentConfig) -> dict:
-    target, = _build_signals(cfg)
-    spec = SubsequenceSpec.from_dict(cfg.params["subsequence"])
+def _parse_subsequence(params: dict, window: Window, where: str) -> dict:
     try:
-        table = subsequence_average(target, spec, cfg.params["checkpoints"],
+        checkpoints = [_config_int(c, f"{where}.checkpoints")
+                       for c in params["checkpoints"]]
+    except TypeError as exc:
+        raise ConfigError(f"{where}.checkpoints: {exc}") from exc
+    if not checkpoints or min(checkpoints) < 1:
+        raise ConfigError(f"{where}.checkpoints: must be positive integers")
+    where, raw = f"{where}.subsequence", params["subsequence"]
+    _require_keys(raw, ("kind", "q", "r", "density"), ("kind",), where)
+    try:
+        spec = SubsequenceSpec(kind=raw["kind"],
+                               q=_config_int(raw.get("q", 1), "q"),
+                               r=_config_int(raw.get("r", 0), "r"),
+                               density=raw.get("density"))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+    return {"subsequence": spec, "checkpoints": checkpoints}
+
+
+def _run_subsequence_average(cfg: ExperimentConfig, subsequence: SubsequenceSpec,
+                             checkpoints: list) -> dict:
+    target, = _build_signals(cfg)
+    try:
+        table = subsequence_average(target, subsequence, checkpoints,
                                     seed=cfg.seed)
-    except ValueError as exc:  # after load checks: the window is exhausted
+    except ValueError as exc:  # a csv target may end before the window
         raise ConfigError(f"params.subsequence: {exc}") from exc
     rows = [["N", "re", "im"]]
     rows += [[int(n), repr(v.real), repr(v.imag)]
@@ -751,36 +742,37 @@ def _run_subsequence_average(cfg: ExperimentConfig) -> dict:
 
 KINDS: dict[str, ExperimentKind] = {
     "gowers": ExperimentKind(
-        "uniformity seminorm of a target signal", _run_gowers,
+        "uniformity seminorm of a target signal", _parse_gowers, _run_gowers,
         required=("target", "order"), optional=("H", "L"),
         signals=("target",)),
     "correlate": ExperimentKind(
-        "correlation sequence of a torus system query", _run_correlate,
-        required=("system", "observables", "iterates"),
-        optional=("engine", "grid"), check=_check_engine),
+        "correlation sequence of a torus system query", _parse_correlate,
+        _run_correlate, required=("system", "observables", "iterates"),
+        optional=("engine", "grid")),
     "decompose": ExperimentKind(
-        "structured-plus-error split against a dictionary", _run_decompose,
-        required=("target", "order", "epsilon", "dictionary"),
-        optional=("H", "L"), signals=("target",), check=_check_decompose),
+        "structured-plus-error split against a dictionary", _parse_decompose,
+        _run_decompose, required=("target", "order", "epsilon", "dictionary"),
+        optional=("H", "L"), signals=("target",)),
     "vdc-check": ExperimentKind(
-        "van der Corput difference comparison", _run_vdc,
+        "van der Corput difference comparison", _parse_vdc, _run_vdc,
         required=("target", "H"), signals=("target",)),
     "anti-uniformity": ExperimentKind(
-        "correlation versus 4x uniformity seminorm", _run_anti_uniformity,
-        required=("a", "b", "order"), optional=("H", "L"),
+        "correlation versus 4x uniformity seminorm", _parse_gowers,
+        _run_anti_uniformity, required=("a", "b", "order"), optional=("H", "L"),
         signals=("a", "b")),
     "interpolate-check": ExperimentKind(
-        "base-point interpolation identity check", _run_interpolate_check,
-        required=("cases",), optional=("ell", "dimension"),
-        check=_check_interpolate),
+        "base-point interpolation identity check", _parse_interpolate,
+        _run_interpolate_check, required=("cases",),
+        optional=("ell", "dimension")),
     "class-distance": ExperimentKind(
-        "distance from a signal to a sequence class", _run_class_distance,
-        required=("target", "family", "ell", "budget"), optional=("L", "Q"),
-        signals=("target",), check=_check_class_distance),
+        "distance from a signal to a sequence class", _parse_class_distance,
+        _run_class_distance, required=("target", "family", "ell", "budget"),
+        optional=("L", "Q"), signals=("target",)),
     "subsequence-average": ExperimentKind(
-        "partial averages along a subsequence", _run_subsequence_average,
+        "partial averages along a subsequence", _parse_subsequence,
+        _run_subsequence_average,
         required=("target", "subsequence", "checkpoints"),
-        signals=("target",), check=_check_subsequence, command="subseq-avg"),
+        signals=("target",), command="subseq-avg"),
 }
 
 
@@ -811,7 +803,8 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
         return RunResult(digest, out_dir, tuple(names), cache_hit=True)
 
     started = time.perf_counter()
-    artifacts = KINDS[cfg.kind].run(cfg)
+    spec = KINDS[cfg.kind]
+    artifacts = spec.run(cfg, **spec.parse(cfg.params, cfg.window, "params"))
     root = cached.parent if cfg.use_cache else None
     if root is not None:
         root.mkdir(parents=True, exist_ok=True)

@@ -425,6 +425,43 @@ def test_kind_configs_cover_the_registry():
     assert KIND_CONFIGS.keys() == KINDS.keys()
 
 
+# digests of KIND_CONFIGS (seed 0, window from 0): parsing params into typed
+# runner arguments keeps the raw params, so cache keys never move
+PINNED_DIGESTS = {
+    "gowers": "02c669021296cd57b8593d33a2ea91460f5c8ad4493e7872b995f5cd6084b653",
+    "correlate": "7438b5a3f41d7fa0a7bf948fe9c14c9ea42e834de7991361fe37e2d6c2ac8d88",
+    "decompose": "ea886ab986b830761d4873a4dd18a6bfbf6a3b55bf5e0e5b4100d66a188198c3",
+    "vdc-check": "77611a98b31b38fb61ddebf5f8fc3847f49fd3c77b0f7110df92a5278a29d509",
+    "anti-uniformity": "bc6917c5e6b2697ac3da03ffa777a492bcdad5799f539046f9cf9abcb8ab1140",
+    "interpolate-check": "003666c5e79321b1d8669018c338ee17387fda37f61e52141950435bb77b9923",
+    "class-distance": "57ac8301af6eac285e50aa485fa82a8c682b612baa9dab8a3fda4f7014ace8c0",
+    "subsequence-average": "518dca27eaef9913d1ad97e358f2aa724f70e6eea7718307e0b1cfacd4648950",
+}
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_kind_config_digest_is_pinned(kind):
+    params, end = KIND_CONFIGS[kind]
+    assert config_from_dict(base_config(kind, params, end=end)).digest() \
+        == PINNED_DIGESTS[kind]
+
+
+@pytest.mark.parametrize("kind,overrides,field", [
+    ("vdc-check", {"H": 64}, "H"),            # the window has 64 points
+    ("class-distance", {"L": 100}, "L"),
+    ("correlate", {"system": {"dimension": 2, "transformations": [
+        {"matrix": [[1, 0], [1, 1]], "alpha": [0.25, 0]},
+        {"matrix": [[1, 1], [0, 1]], "alpha": [0.5, 0]}]},
+        "observables": [[{"k": [1, 0]}], [{"k": [0, 1]}]]}, "system"),
+])
+def test_window_and_system_checks_run_at_load(kind, overrides, field):
+    """Values that only the window or the built query can refute are
+    refused by config_from_dict, not first by run_experiment."""
+    params, end = KIND_CONFIGS[kind]
+    with pytest.raises(ConfigError, match=rf"<config>\.params\.{field}"):
+        config_from_dict(base_config(kind, dict(params, **overrides), end=end))
+
+
 @pytest.mark.parametrize("kind", KINDS)
 def test_every_kind_runs_under_its_command(kind, tmp_path, capsys):
     params, end = KIND_CONFIGS[kind]
