@@ -84,6 +84,13 @@ def bracket_multipliers(alpha: float, ns: np.ndarray) -> np.ndarray:
     return ns.astype(object) * floors
 
 
+def _divide(nums: np.ndarray, den: int) -> np.ndarray:
+    """``nums / den``, as correctly rounded Python quotients past int64."""
+    if nums.dtype == np.int64:
+        return nums / den
+    return np.array([v / den for v in nums], dtype=float)
+
+
 def phase_denominator(coefficients: Iterable[float]) -> int:
     """Common denominator of the coefficients (each a dyadic rational)."""
     return max((float(c).as_integer_ratio()[1] for c in coefficients), default=1)
@@ -173,10 +180,12 @@ class ExactPoly:
         den = self.denominator
         if den <= _max_abs(ns):
             ns = ns % den
-        rem = self._numerator_values(ns) % den
-        if rem.dtype == np.int64:
-            return rem / den
-        return np.array([r / den for r in rem], dtype=float)
+        return _divide(self._numerator_values(ns) % den, den)
+
+    def quotients(self, ns: np.ndarray) -> np.ndarray:
+        """``P(n) / den`` rounded once, for a power-of-two ``den`` as in a
+        :meth:`term`, by which an int64 numerator divides exactly."""
+        return _divide(self._numerator_values(ns), self.denominator)
 
     def exceeds(self, limit: int, ns: np.ndarray) -> bool:
         """Whether ``|P(n) / den| > limit`` at some n; evaluates the window

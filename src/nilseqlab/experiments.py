@@ -74,16 +74,18 @@ def _config_int(value, where: str) -> int:
     raise ConfigError(f"{where}: must be an integer, got {value!r}")
 
 
-def _config_real(value, where: str, positive: bool = False) -> float:
-    """A finite number from config input, ``> 0`` when ``positive`` and
-    ``>= 0`` otherwise.  A boolean, a string or a NaN raises
-    ``ConfigError``."""
+def _config_real(value, where: str, positive: bool = False,
+                 signed: bool = False) -> float:
+    """A finite number from config input: of either sign when ``signed``,
+    else ``> 0`` when ``positive`` and ``>= 0`` otherwise.  A boolean, a
+    string or a NaN raises ``ConfigError``."""
     if isinstance(value, (int, float)) and not isinstance(value, bool):
         with contextlib.suppress(OverflowError):  # an int beyond float
-            if math.isfinite(value) and (value > 0 if positive else value >= 0):
+            if math.isfinite(value) and (signed or value > 0
+                                         or value == 0 and not positive):
                 return float(value)
-    raise ConfigError(f"{where}: must be a finite number "
-                      f"{'> 0' if positive else '>= 0'}, got {value!r}")
+    rule = "" if signed else " > 0" if positive else " >= 0"
+    raise ConfigError(f"{where}: must be a finite number{rule}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -91,14 +93,12 @@ class ExperimentKind:
     """Schema, parser, runner and CLI entry of one experiment kind.
 
     ``signals`` names the params that hold signal specs.  ``parse(params,
-    window, where)`` reads every other param into the typed value the
-    runner takes, checks it against the window, and returns the runner's
-    keyword arguments; a bad value raises ``ConfigError`` naming
-    ``where.<field>``.  Loading a config parses it, and so does every run,
-    so a config built by hand is checked too.  ``run(cfg, **parsed)`` maps
-    a config to its artifacts, ``{file name: dict (JSON), Signal (CSV) or
-    list of CSV rows}``; ``command`` is the CLI spelling when it differs
-    from the kind.
+    window, where)`` reads every other param into the typed value the runner
+    takes, checked against the window, and returns the runner's keyword
+    arguments or raises ``ConfigError`` naming ``where.<field>``; loading a
+    config and each run parse it.  ``run(cfg, **parsed)`` maps a config to
+    its artifacts, ``{file name: dict (JSON), Signal (CSV) or list of CSV
+    rows}``; ``command`` is the CLI spelling when it differs from the kind.
     """
 
     help: str
@@ -213,6 +213,8 @@ _SIGNAL_KINDS = {
                ("family", "ell", "index")),
     "csv": (("path",), ("path",)),
 }
+_SIGNAL_REALS = frozenset(("re", "im", "alpha", "theta", "gamma", "quad",
+                           "cross", "linear", "height", "coefficients"))
 
 
 def validate_signal_spec(spec: Mapping, where: str) -> dict:
@@ -228,6 +230,12 @@ def validate_signal_spec(spec: Mapping, where: str) -> dict:
         {k: v for k, v in spec.items() if k != "kind"},
         allowed, required, where,
     )
+    for name in _SIGNAL_REALS.intersection(spec):
+        many = name == "coefficients"
+        if many and not isinstance(spec[name], list):
+            raise ConfigError(f"{where}.{name}: must be a list of numbers")
+        for value in spec[name] if many else [spec[name]]:
+            _config_real(value, f"{where}.{name}", signed=True)
     return dict(spec)
 
 
@@ -579,10 +587,8 @@ def _parse_correlate(params: dict, window: Window, where: str) -> dict:
 
 def _run_correlate(cfg: ExperimentConfig, query: CorrelationQuery,
                    quadrature: Union[QuadratureSpec, None]) -> dict:
-    if quadrature is None:
-        signal = correlate_exact(query, cfg.window)
-    else:
-        signal = correlate_numeric(query, cfg.window, quadrature)
+    signal = (correlate_exact(query, cfg.window) if quadrature is None
+              else correlate_numeric(query, cfg.window, quadrature))
     return {"correlation.csv": signal,
             "query.json": {"engine": "exact" if quadrature is None else "numeric",
                            "window": [cfg.window.start, cfg.window.end]}}
@@ -590,8 +596,12 @@ def _run_correlate(cfg: ExperimentConfig, query: CorrelationQuery,
 
 def _parse_decompose(params: dict, window: Window, where: str) -> dict:
     parsed = _parse_gowers(params, window, where)
-    parsed["epsilon"] = _config_real(params["epsilon"], f"{where}.epsilon",
-                                     positive=True)
+    epsilon = _config_real(params["epsilon"], f"{where}.epsilon", positive=True)
+    try:  # decompose reports delta = (epsilon/16)^(2^order)
+        (epsilon / 16.0) ** (2 ** parsed["gowers"].order)
+    except OverflowError as exc:
+        raise ConfigError(f"{where}.epsilon: {epsilon!r} overflows delta") from exc
+    parsed["epsilon"] = epsilon
     where, dic = f"{where}.dictionary", params["dictionary"]
     _require_keys(dic, ("step", "degrees", "Q", "include_brackets", "ridge",
                         "budget"), ("step", "Q"), where)
@@ -665,10 +675,8 @@ def _run_interpolate_check(cfg: ExperimentConfig, cases: int,
     worst = 0.0
     rows = []
     for i in range(cases):
-        ell = ells[i % len(ells)]
-        d = dims[i % len(dims)]
-        g = rng.random(d)
-        h = rng.random(d)
+        ell, d = ells[i % len(ells)], dims[i % len(dims)]
+        g, h = rng.random(d), rng.random(d)
         points = [np.mod(i2 * h + g, 1.0) for i2 in range(1, ell + 1)]
         recovered = torus_interpolate(points)
         err = float(np.max(np.minimum(np.abs(recovered - g),
@@ -715,11 +723,13 @@ def _parse_subsequence(params: dict, window: Window, where: str) -> dict:
         raise ConfigError(f"{where}.checkpoints: must be positive integers")
     where, raw = f"{where}.subsequence", params["subsequence"]
     _require_keys(raw, ("kind", "q", "r", "density"), ("kind",), where)
+    density = raw.get("density")
     try:
-        spec = SubsequenceSpec(kind=raw["kind"],
-                               q=_config_int(raw.get("q", 1), "q"),
-                               r=_config_int(raw.get("r", 0), "r"),
-                               density=raw.get("density"))
+        spec = SubsequenceSpec(
+            kind=raw["kind"], q=_config_int(raw.get("q", 1), "q"),
+            r=_config_int(raw.get("r", 0), "r"),
+            density=(None if density is None
+                     else _config_real(density, "density", positive=True)))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{where}: {exc}") from exc
     return {"subsequence": spec, "checkpoints": checkpoints}

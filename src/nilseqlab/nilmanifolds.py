@@ -23,6 +23,7 @@ from ._exact import (ExactPoly, bracket_multipliers, mod1, poly_phase_fracs,
 from .signals import Signal, Window
 
 _POW_GUARD = 1 << 62
+_BELOW_ONE = math.nextafter(1.0, 0.0)
 
 
 @dataclass(frozen=True)
@@ -82,7 +83,7 @@ def _unit_interval_shift(t: float) -> Tuple[float, int]:
         candidate = t + (m - 1)
         if candidate >= 0.0:
             return candidate, m - 1
-        return math.nextafter(1.0, 0.0), m
+        return _BELOW_ONE, m
     return r, m
 
 
@@ -108,10 +109,6 @@ class HeisenbergObservable:
     the lattice action."""
 
     horizontal: Tuple[int, int]
-
-    def __call__(self, x: float, y: float, z: float) -> complex:
-        k1, k2 = self.horizontal
-        return complex(np.exp(2j * np.pi * (k1 * x + k2 * y)))
 
 
 @dataclass(frozen=True)
@@ -234,11 +231,14 @@ def eval_nilsequence(atom: NilAtom, w: Window) -> Signal:
     if isinstance(atom, (PolynomialPhase, BracketPhase)):
         return Signal(w, unit_phases(phase_fracs(atom, ns)), 1.0)
     if isinstance(atom, HeisenbergOrbit):
-        vals = np.empty(w.length, dtype=np.complex128)
-        for i, n in enumerate(ns):
-            rep, _ = heis_reduce(heis_pow(atom.element, int(n)))
-            vals[i] = atom.observable(rep.x, rep.y, rep.z)
-        return Signal(w, vals, 1.0)
+        # heis_reduce(heis_pow(g, n)) has x = frac(n g.x), y = frac(n g.y), each
+        # product rounded once and kept below 1 by _unit_interval_shift
+        if max(abs(w.start), abs(w.end - 1)) > _POW_GUARD:
+            raise ValueError("power exponent exceeds 2^62 guard")
+        k1, k2 = atom.observable.horizontal
+        x, y = (np.minimum(mod1(ExactPoly.term(c, 1).quotients(ns)), _BELOW_ONE)
+                for c in (atom.element.x, atom.element.y))
+        return Signal(w, unit_phases(k1 * x + k2 * y), 1.0)
     raise TypeError(f"not a nilsequence atom: {atom!r}")
 
 

@@ -28,7 +28,8 @@ from nilseqlab import (
 )
 from nilseqlab.decomposition import atom_matrix
 from nilseqlab.nilmanifolds import (BracketPhase, Dictionary, HeisenbergElement,
-                                    HeisenbergObservable, HeisenbergOrbit)
+                                    HeisenbergObservable, HeisenbergOrbit,
+                                    heis_pow, heis_reduce)
 
 W = Window(0, 512)
 
@@ -229,7 +230,11 @@ def _atom_row(atom, w: Window) -> np.ndarray:
         total = _poly_fracs_per_atom((0.0, atom.linear, atom.quad), ns)
         total = np.mod(total + _frac_row(atom.cross, cross_mult), 1.0)
         return np.exp(2j * np.pi * total)
-    return eval_nilsequence(atom, w).values
+    # the orbit point of each n in the quotient, read by the character
+    k1, k2 = atom.observable.horizontal
+    points = [heis_reduce(heis_pow(atom.element, int(n)))[0] for n in ns]
+    return np.array([complex(np.exp(2j * np.pi * (k1 * p.x + k2 * p.y)))
+                     for p in points])
 
 
 def _worst_atom_per_row(a_er: Signal, psi: np.ndarray) -> float:
@@ -262,13 +267,14 @@ _COEFF = st.one_of(
 )
 # alphas whose floor(alpha n), or n floor(alpha n), leaves int64 near 2^21
 _BIG_ALPHAS = (2.0**40 + 0.5, 2.0**30 + 0.25, -3e5)
+_HEISENBERG = st.builds(lambda x, y, z, k: HeisenbergOrbit(
+    HeisenbergElement(x, y, z), HeisenbergObservable(horizontal=k)),
+    _COEFF, _COEFF, _COEFF, st.sampled_from(((1, 0), (0, 1), (2, -1))))
 _ATOM = st.one_of(
     st.lists(_COEFF, min_size=1, max_size=4).map(lambda c: PolynomialPhase(tuple(c))),
     st.builds(BracketPhase, _COEFF, _COEFF,
               st.one_of(_COEFF, st.sampled_from(_BIG_ALPHAS)), _COEFF),
-    st.builds(lambda x, y, z, k: HeisenbergOrbit(
-        HeisenbergElement(x, y, z), HeisenbergObservable(horizontal=k)),
-        _COEFF, _COEFF, _COEFF, st.sampled_from(((1, 0), (0, 1), (2, -1)))),
+    _HEISENBERG,
 )
 
 
@@ -278,6 +284,16 @@ def test_atom_matrix_matches_per_atom_oracle(atoms, w):
     psi = atom_matrix(Dictionary(tuple(atoms), 2), w)
     expected = np.array([_atom_row(atom, w) for atom in atoms])
     assert np.array_equal(psi, expected)  # bit for bit
+
+
+@settings(max_examples=60, deadline=None)
+@given(_HEISENBERG, st.sampled_from((0, -300, 2**53, -2**53, 2**60, -2**61)),
+       st.integers(-60, 60), st.integers(1, 64))
+def test_heisenberg_row_matches_per_n_oracle(atom, centre, offset, length):
+    """Far windows too: past 2^53, n * g.x is no longer exact in float64,
+    and near 2^60 its exact numerator leaves int64."""
+    w = Window(centre + offset, centre + offset + length)
+    assert np.array_equal(eval_nilsequence(atom, w).values, _atom_row(atom, w))
 
 
 _CUBE = PolynomialPhase((0.0, 0.0, 0.0, 1 - 2.0**-20))

@@ -580,12 +580,41 @@ def test_cli_non_object_value_exit_2(kind, field, value, tmp_path, capsys):
     ("interpolate-check", {"cases": 4, "ell": 1}, "ell"),
     ("interpolate-check", {"cases": 4, "ell": 9}, "ell"),
     ("interpolate-check", {"cases": 4, "dimension": 0}, "dimension"),
+    # signal-spec numbers must be finite numbers: not strings, not booleans
+    ("gowers", {"target": {"kind": "linear_phase", "alpha": "0.25"}},
+     "target.alpha"),
+    ("gowers", {"target": {"kind": "polynomial_phase", "coefficients": "12"}},
+     "target.coefficients"),
+    ("gowers", {"target": {"kind": "polynomial_phase",
+                           "coefficients": [0.5, True]}}, "target.coefficients"),
+    ("gowers", {"target": {"kind": "spike", "positions": [3], "height": True}},
+     "target.height"),
+    ("gowers", {"target": {"kind": "spike", "positions": [3],
+                           "height": math.inf}}, "target.height"),
+    ("subsequence-average", {"subsequence": {"kind": "random-density",
+                                             "density": True}}, "subsequence"),
+    # epsilon whose delta = (epsilon/16)^(2^order) overflows a float
+    ("decompose", {"epsilon": 1e79}, "epsilon"),
+    ("decompose", {"epsilon": 1e21, "order": 4}, "epsilon"),
 ])
 def test_cli_bad_param_value_exit_2(kind, overrides, field, tmp_path, capsys):
     params, end = KIND_CONFIGS[kind]
     raw = base_config(kind, dict(params, **overrides), end=end)
     assert run_cli(tmp_path, raw) == 2
     assert f"params.{field}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ["gowers", "decompose"])
+def test_cli_non_finite_csv_sample_exit_2(kind, tmp_path, capsys):
+    path = tmp_path / "target.csv"
+    rows = [f"{n},1.0,0.0" for n in range(64)]
+    rows[5] = "5,nan,0.0"
+    path.write_text("n,re,im\n" + "\n".join(rows) + "\n")
+    params, end = KIND_CONFIGS[kind]
+    target = {"kind": "csv", "path": str(path)}
+    raw = base_config(kind, dict(params, target=target), end=end)
+    assert run_cli(tmp_path, raw) == 2
+    assert "params.target: CSV value at n=5 is not finite" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("start,end", [(0.9, 64.7), (True, 64)])
