@@ -240,8 +240,9 @@ def read_csv(path) -> Signal:
     start, end = ns[0], ns[-1] + 1
     if ns != list(range(start, end)):
         raise ValueError("CSV indices are not consecutive")
-    bad = np.flatnonzero(~np.isfinite(vals))
+    values = np.array(vals)
+    bad = np.flatnonzero(~np.isfinite(values))
     if len(bad):
         raise ValueError(f"CSV value at n={ns[bad[0]]} is not finite")
-    return Signal(Window(start, end), np.array(vals))
+    return Signal(Window(start, end), values)
 
