@@ -96,8 +96,9 @@ class ExperimentKind:
     window, where)`` reads every other param into the typed value the runner
     takes, checked against the window, and returns the runner's keyword
     arguments or raises ``ConfigError`` naming ``where.<field>``; loading a
-    config and each run parse it.  ``run(cfg, **parsed)`` maps a config to
-    its artifacts, ``{file name: dict (JSON), Signal (CSV) or list of CSV
+    config parses it once, into ``ExperimentConfig.args``.  ``run(cfg,
+    *signals, **args)`` maps a config and its built signals to its
+    artifacts, ``{file name: dict (JSON), Signal (CSV) or list of CSV
     rows}``; ``command`` is the CLI spelling when it differs from the kind.
     """
 
@@ -114,7 +115,8 @@ class ExperimentKind:
 class ExperimentConfig:
     kind: str
     window: Window
-    params: dict
+    params: dict  # as written: the digest keys these
+    args: dict    # the runner's keyword arguments, parsed from params at load
     seed: int = 0
     out_dir: Union[str, None] = None
     use_cache: bool = True
@@ -167,11 +169,11 @@ def config_from_dict(raw: Mapping, source: str = "<config>") -> ExperimentConfig
     params = dict(raw["params"])
     for name in spec.signals:
         params[name] = validate_signal_spec(params[name], f"{where}.{name}")
-    spec.parse(params, window, where)
     return ExperimentConfig(
         kind=kind,
         window=window,
         params=params,
+        args=spec.parse(params, window, where),
         seed=seed,
         out_dir=out_dir,
         use_cache=use_cache,
@@ -497,19 +499,6 @@ def _write_artifact(path: Path, payload) -> None:
             csv.writer(fh).writerows(payload)
 
 
-def _build_signals(cfg: ExperimentConfig) -> list:
-    """The kind's signal params, built in order from one seeded generator."""
-    rng = np.random.default_rng(cfg.seed)
-    signals = []
-    for name in KINDS[cfg.kind].signals:
-        try:
-            signals.append(build_signal(cfg.params[name], cfg.window, rng,
-                                        seed=cfg.seed))
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"params.{name}: {exc}") from exc
-    return signals
-
-
 def _system_from_config(raw: Mapping, where: str) -> AffineToralSystem:
     _require_keys(raw, ("dimension", "transformations"),
                   ("dimension", "transformations"), where)
@@ -564,8 +553,8 @@ def _parse_gowers(params: dict, window: Window, where: str) -> dict:
                                    shift_count=H, scale=L)}
 
 
-def _run_gowers(cfg: ExperimentConfig, gowers: GowersParams) -> dict:
-    target, = _build_signals(cfg)
+def _run_gowers(cfg: ExperimentConfig, target: Signal,
+                gowers: GowersParams) -> dict:
     return {"gowers_report.json": ghk_seminorm(target, gowers).to_json_dict()}
 
 
@@ -624,9 +613,8 @@ def _parse_decompose(params: dict, window: Window, where: str) -> dict:
     return parsed
 
 
-def _run_decompose(cfg: ExperimentConfig, gowers: GowersParams, epsilon: float,
-                   dictionary: DictionarySpec) -> dict:
-    target, = _build_signals(cfg)
+def _run_decompose(cfg: ExperimentConfig, target: Signal, gowers: GowersParams,
+                   epsilon: float, dictionary: DictionarySpec) -> dict:
     report = decompose(target, gowers.order, epsilon, dictionary, gowers)
     return {"decomposition.json": report.to_json_dict(),
             "a_st.csv": report.a_st, "a_er.csv": report.a_er}
@@ -639,13 +627,12 @@ def _parse_vdc(params: dict, window: Window, where: str) -> dict:
     return {"H": H}
 
 
-def _run_vdc(cfg: ExperimentConfig, H: int) -> dict:
-    target, = _build_signals(cfg)
+def _run_vdc(cfg: ExperimentConfig, target: Signal, H: int) -> dict:
     return {"vdc.json": asdict(vdc_defect(target.values, H))}
 
 
-def _run_anti_uniformity(cfg: ExperimentConfig, gowers: GowersParams) -> dict:
-    a, b = _build_signals(cfg)
+def _run_anti_uniformity(cfg: ExperimentConfig, a: Signal, b: Signal,
+                         gowers: GowersParams) -> dict:
     report = anti_uniformity_ratio(a, b, gowers)
     return {"anti_uniformity.json": {
         "correlation": report.correlation,
@@ -705,9 +692,8 @@ def _parse_class_distance(params: dict, window: Window, where: str) -> dict:
     return parsed
 
 
-def _run_class_distance(cfg: ExperimentConfig, family: str, ell: int,
-                        budget: int, L: int, Q: int) -> dict:
-    target, = _build_signals(cfg)
+def _run_class_distance(cfg: ExperimentConfig, target: Signal, family: str,
+                        ell: int, budget: int, L: int, Q: int) -> dict:
     result = class_distance(target, family, ell, budget, L, seed=cfg.seed,
                             freq_grid=Q)
     return {"class_distance.json": asdict(result)}
@@ -735,9 +721,9 @@ def _parse_subsequence(params: dict, window: Window, where: str) -> dict:
     return {"subsequence": spec, "checkpoints": checkpoints}
 
 
-def _run_subsequence_average(cfg: ExperimentConfig, subsequence: SubsequenceSpec,
+def _run_subsequence_average(cfg: ExperimentConfig, target: Signal,
+                             subsequence: SubsequenceSpec,
                              checkpoints: list) -> dict:
-    target, = _build_signals(cfg)
     try:
         table = subsequence_average(target, subsequence, checkpoints,
                                     seed=cfg.seed)
@@ -813,8 +799,15 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
         return RunResult(digest, out_dir, tuple(names), cache_hit=True)
 
     started = time.perf_counter()
-    spec = KINDS[cfg.kind]
-    artifacts = spec.run(cfg, **spec.parse(cfg.params, cfg.window, "params"))
+    rng = np.random.default_rng(cfg.seed)  # one stream, in param order
+    signals = []
+    for name in KINDS[cfg.kind].signals:
+        try:
+            signals.append(build_signal(cfg.params[name], cfg.window, rng,
+                                        seed=cfg.seed))
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"params.{name}: {exc}") from exc
+    artifacts = KINDS[cfg.kind].run(cfg, *signals, **cfg.args)
     root = cached.parent if cfg.use_cache else None
     if root is not None:
         root.mkdir(parents=True, exist_ok=True)
