@@ -238,6 +238,8 @@ def validate_signal_spec(spec: Mapping, where: str) -> dict:
             raise ConfigError(f"{where}.{name}: must be a list of numbers")
         for value in spec[name] if many else [spec[name]]:
             _config_real(value, f"{where}.{name}", signed=True)
+    if kind == "csv" and not isinstance(spec["path"], str):  # not a descriptor
+        raise ConfigError(f"{where}.path: must be a string, got {spec['path']!r}")
     return dict(spec)
 
 
@@ -459,14 +461,10 @@ def class_distance(target: Signal, family: str, ell: int, budget: int,
     if family == "A":
         stream = _class_a_candidates(ell, target.window, seed, freq_grid)
     elif family in ("B", "C"):
-        def _bc_stream():
-            yield constant_signal(0.0, target.window), "zero"
-            entries = corpus_generate(family, ell, seed, target.window,
-                                      count=max(budget - 1, 1),
-                                      freq_grid=freq_grid)
-            for entry in entries:
-                yield entry.signal, entry.label
-        stream = _bc_stream()
+        entries = corpus_generate(family, ell, seed, target.window,
+                                  count=max(budget - 1, 1), freq_grid=freq_grid)
+        stream = [(constant_signal(0.0, target.window), "zero")]
+        stream += [(entry.signal, entry.label) for entry in entries]
     else:
         raise ValueError(f"unknown class {family!r}")
     best = math.inf
@@ -549,8 +547,14 @@ def _query_from_params(params: Mapping, where: str) -> CorrelationQuery:
 def _parse_gowers(params: dict, window: Window, where: str) -> dict:
     H, L = (None if params.get(k) is None
             else _config_int(params[k], f"{where}.{k}") for k in ("H", "L"))
-    return {"gowers": GowersParams(_config_int(params["order"], f"{where}.order"),
-                                   shift_count=H, scale=L)}
+    gowers = GowersParams(_config_int(params["order"], f"{where}.order"),
+                          shift_count=H, scale=L)
+    try:
+        gowers.resolve(window.length)
+    except ValueError as exc:  # resolve checks H before L
+        field = "L" if L is not None and (H or 1) < window.length else "H"
+        raise ConfigError(f"{where}.{field}: {exc}") from exc
+    return {"gowers": gowers}
 
 
 def _run_gowers(cfg: ExperimentConfig, target: Signal,
@@ -615,7 +619,11 @@ def _parse_decompose(params: dict, window: Window, where: str) -> dict:
 
 def _run_decompose(cfg: ExperimentConfig, target: Signal, gowers: GowersParams,
                    epsilon: float, dictionary: DictionarySpec) -> dict:
-    report = decompose(target, gowers.order, epsilon, dictionary, gowers)
+    try:
+        report = decompose(target, gowers.order, epsilon, dictionary, gowers)
+    except ValueError as exc:  # the sup-norm and the Gram's rank need the atoms
+        field = "dictionary.ridge" if "Gram" in str(exc) else "target"
+        raise ConfigError(f"params.{field}: {exc}") from exc
     return {"decomposition.json": report.to_json_dict(),
             "a_st.csv": report.a_st, "a_er.csv": report.a_er}
 
@@ -718,6 +726,10 @@ def _parse_subsequence(params: dict, window: Window, where: str) -> dict:
                      else _config_real(density, "density", positive=True)))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{where}: {exc}") from exc
+    qN = spec.q * max(checkpoints)  # arithmetic terms run up to qN + r
+    if spec.kind == "arithmetic" and not (qN < 2**63 and -2**63 <= spec.r < 2**63 - qN):
+        raise ConfigError(f"{where}: q*N + r must fit in int64 for N <= "
+                          f"{max(checkpoints)}")
     return {"subsequence": spec, "checkpoints": checkpoints}
 
 

@@ -423,23 +423,6 @@ class CorrelationStructure:
                 "frequency overflow: component exceeds 2^127"
             )
 
-    def required_grid_size(self, w: Window) -> int:
-        """Smallest grid size that cannot alias over the window.
-
-        Aliasing happens when a nonzero combined frequency vector is
-        divisible by G in every component; it is ruled out by taking G
-        strictly larger than the largest ``|component|`` of the non-atom
-        total frequencies over the window.
-        """
-        ns = w.indices()
-        self.check_frequencies(ns)
-        worst = 1
-        for comb in self.combinations:
-            for component in comb.frequency:
-                if component:
-                    worst = max(worst, int(np.max(np.abs(component.values(ns)))))
-        return worst + 1
-
 
 def _slot_samples(q: CorrelationQuery) -> tuple:
     """The exact slot maps (:func:`_slot_affines`) at ``n = 0..D``.
@@ -525,9 +508,22 @@ def correlate_exact(q: CorrelationQuery, w: Window) -> Signal:
 
 
 def required_grid_size(q: CorrelationQuery, w: Window) -> int:
-    """Smallest grid size that cannot alias this query over the window
-    (:meth:`CorrelationStructure.required_grid_size`)."""
-    return correlation_structure(q).required_grid_size(w)
+    """Smallest grid size that cannot alias this query over the window.
+
+    Aliasing happens when a nonzero combined frequency vector is
+    divisible by G in every component; it is ruled out by taking G
+    strictly larger than the largest ``|component|`` of the non-atom
+    total frequencies over the window.
+    """
+    structure = correlation_structure(q)
+    ns = w.indices()
+    structure.check_frequencies(ns)
+    worst = 1
+    for comb in structure.combinations:
+        for component in comb.frequency:
+            if component:
+                worst = max(worst, int(np.max(np.abs(component.values(ns)))))
+    return worst + 1
 
 
 def correlate_numeric(q: CorrelationQuery, w: Window, quad: QuadratureSpec,

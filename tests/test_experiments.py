@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
@@ -596,6 +597,26 @@ def test_cli_non_object_value_exit_2(kind, field, value, tmp_path, capsys):
     # epsilon whose delta = (epsilon/16)^(2^order) overflows a float
     ("decompose", {"epsilon": 1e79}, "epsilon"),
     ("decompose", {"epsilon": 1e21, "order": 4}, "epsilon"),
+    # H and L that the window of 64 points cannot hold
+    ("gowers", {"H": 1000}, "H"),
+    ("gowers", {"order": 3, "H": 8, "L": 60}, "L"),
+    ("decompose", {"H": 64}, "H"),
+    ("anti-uniformity", {"H": 64}, "H"),
+    # refusals that need the built target or atoms
+    ("decompose", {"target": {"kind": "constant", "re": 2.0}}, "target"),
+    ("decompose", {"dictionary": {"step": 2, "Q": 8, "ridge": 0}},
+     "dictionary.ridge"),  # rank deficient
+    # arithmetic terms q*n + r beyond int64
+    ("subsequence-average", {"subsequence": {"kind": "arithmetic", "q": 2**70}},
+     "subsequence"),
+    ("subsequence-average", {"subsequence": {"kind": "arithmetic", "r": 2**70}},
+     "subsequence"),
+    ("subsequence-average", {"subsequence": {"kind": "arithmetic", "q": 2**62}},
+     "subsequence"),
+    ("subsequence-average", {"subsequence": {"kind": "arithmetic", "q": 4,
+                                             "r": -2**70}}, "subsequence"),
+    # a csv path must be a file name, not a number
+    ("gowers", {"target": {"kind": "csv", "path": 12.5}}, "target.path"),
 ])
 def test_cli_bad_param_value_exit_2(kind, overrides, field, tmp_path, capsys):
     params, end = KIND_CONFIGS[kind]
@@ -615,6 +636,56 @@ def test_cli_non_finite_csv_sample_exit_2(kind, tmp_path, capsys):
     raw = base_config(kind, dict(params, target=target), end=end)
     assert run_cli(tmp_path, raw) == 2
     assert "params.target: CSV value at n=5 is not finite" in capsys.readouterr().err
+
+
+def test_cli_decompose_unbounded_csv_target_exit_2(tmp_path, capsys):
+    """The sup-norm of a csv target is known only once it is read."""
+    path = tmp_path / "target.csv"
+    rows = [f"{n},{1.5 if n == 5 else 1.0},0.0" for n in range(64)]
+    path.write_text("n,re,im\n" + "\n".join(rows) + "\n")
+    params, end = KIND_CONFIGS["decompose"]
+    raw = base_config("decompose", dict(params, target={"kind": "csv",
+                                                        "path": str(path)}),
+                      end=end)
+    assert run_cli(tmp_path, raw) == 2
+    assert "params.target: signal sup-norm 1.5 exceeds 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("descriptor", ["pipe", "stdout"])
+def test_cli_descriptor_as_csv_path_is_refused_and_left_open(
+        descriptor, tmp_path, capsys):
+    """open() takes an integer path (True is 1) for a file descriptor and
+    closes it on leaving; such a path is refused at load instead."""
+    read_fd, write_fd = os.pipe()
+    saved_stdout = os.dup(1)
+    try:
+        os.write(write_fd, b"n,re,im\n0,1.0,0.0\n")
+        os.close(write_fd)
+        path = read_fd if descriptor == "pipe" else True
+        params, end = KIND_CONFIGS["gowers"]
+        raw = base_config("gowers", dict(params, target={"kind": "csv",
+                                                         "path": path}),
+                          end=end)
+        assert run_cli(tmp_path, raw) == 2
+        assert "params.target.path: must be a string" in capsys.readouterr().err
+        os.fstat(read_fd)  # raises OSError (EBADF) once closed
+        os.fstat(1)
+    finally:
+        os.dup2(saved_stdout, 1)
+        os.close(saved_stdout)
+        with contextlib.suppress(OSError):
+            os.close(read_fd)
+
+
+def test_correlate_parses_its_query_once(tmp_path, monkeypatch):
+    """A load and a cache miss build the CorrelationQuery once."""
+    calls = []
+    parse = experiments._query_from_params
+    monkeypatch.setattr(experiments, "_query_from_params",
+                        lambda *args: calls.append(args) or parse(*args))
+    params, end = KIND_CONFIGS["correlate"]
+    assert run_cli(tmp_path, base_config("correlate", params, end=end)) == 0
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("start,end", [(0.9, 64.7), (True, 64)])
