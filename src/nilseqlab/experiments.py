@@ -621,7 +621,7 @@ def _run_decompose(cfg: ExperimentConfig, target: Signal, gowers: GowersParams,
                    epsilon: float, dictionary: DictionarySpec) -> dict:
     try:
         report = decompose(target, gowers.order, epsilon, dictionary, gowers)
-    except ValueError as exc:  # the sup-norm and the Gram's rank need the atoms
+    except ValueError as exc:  # known only once the target and atoms are built
         field = "dictionary.ridge" if "Gram" in str(exc) else "target"
         raise ConfigError(f"params.{field}: {exc}") from exc
     return {"decomposition.json": report.to_json_dict(),
