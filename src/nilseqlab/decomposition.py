@@ -18,9 +18,9 @@ from typing import Tuple, Union
 import numpy as np
 
 from .errors import BudgetError
-from ._exact import phase_denominator, unit_phases
-from .nilmanifolds import (BracketPhase, Dictionary, HeisenbergOrbit, PolynomialPhase,
-                           eval_nilsequence, phase_fracs)
+# eval_nilsequence stays bound for perfbench's tracer self-test, which reads it
+from .nilmanifolds import (BracketPhase, Dictionary, PolynomialPhase, atom_rows,
+                           eval_nilsequence)
 from .signals import Signal, Window, density_seminorm
 from .uniformity import GowersParams, GowersReport, ghk_seminorm
 
@@ -90,41 +90,12 @@ def build_dictionary(spec: DictionarySpec, w: Window) -> Dictionary:
         for alpha in grid:
             for cross in grid[1:]:
                 atoms.append(BracketPhase(0.0, cross, alpha, 0.0))
-    return Dictionary(tuple(atoms), spec.step)
+    return Dictionary(tuple(atoms))
 
 
 def atom_matrix(dictionary: Dictionary, w: Window) -> np.ndarray:
-    """Rows are the dictionary atoms evaluated on the window.
-
-    Each row is bit-identical to :func:`eval_nilsequence` of its atom.
-    Phase atoms share their exact term rows ``frac(c n^k)`` and bracket
-    multipliers ``n floor(alpha n)`` (:func:`phase_fracs`), and each row
-    takes the same sums and ``mod 1`` as a lone atom.  When every phase
-    coefficient of an atom has a denominator ``D`` no larger than the
-    window, every phase is an exact multiple of ``1/D`` and its exponential
-    is read from the ``D`` roots ``exp(2 pi i r/D)``, computed by the same
-    ``exp`` from the same floats ``r/D``.
-    """
-    ns = w.indices()
-    psi = np.empty((len(dictionary), w.length), dtype=np.complex128)
-    rows: dict = {}
-    roots: dict = {}
-    for i, atom in enumerate(dictionary.atoms):
-        if isinstance(atom, HeisenbergOrbit):
-            psi[i] = eval_nilsequence(atom, w).values
-            continue
-        fracs = phase_fracs(atom, ns, rows)
-        if isinstance(atom, PolynomialPhase):
-            den = phase_denominator(atom.coefficients)
-        else:
-            den = phase_denominator((atom.quad, atom.cross, atom.linear))
-        if den > w.length:
-            psi[i] = unit_phases(fracs)
-            continue
-        if den not in roots:
-            roots[den] = unit_phases(np.arange(den) / den)
-        psi[i] = roots[den][(fracs * den).astype(np.int64)]
-    return psi
+    """The dictionary's atoms on the window, one row each (:func:`atom_rows`)."""
+    return atom_rows(dictionary.atoms, w.indices())
 
 
 def clip_to_unit_disk(values: np.ndarray) -> np.ndarray:

@@ -18,8 +18,8 @@ from typing import Sequence, Tuple, Union
 
 import numpy as np
 
-from ._exact import (ExactPoly, bracket_multipliers, mod1, poly_phase_fracs,
-                     unit_phases)
+from ._exact import (ExactPoly, bracket_multipliers, mod1, phase_denominator,
+                     poly_phase_fracs, unit_phases)
 from .signals import Signal, Window
 
 _POW_GUARD = 1 << 62
@@ -117,8 +117,6 @@ class PolynomialPhase:
 
     coefficients: Tuple[float, ...]
 
-    kind = "polynomial-phase"
-
     def __post_init__(self) -> None:
         coeffs = tuple(float(c) for c in self.coefficients)
         if len(coeffs) == 0 or len(coeffs) > 4:
@@ -154,8 +152,6 @@ class BracketPhase:
     alpha: float
     linear: float
 
-    kind = "bracket-phase"
-
     def __post_init__(self) -> None:
         for c in (self.quad, self.cross, self.alpha, self.linear):
             if not math.isfinite(c):
@@ -174,8 +170,6 @@ class HeisenbergOrbit:
     element: HeisenbergElement
     observable: HeisenbergObservable
 
-    kind = "heisenberg-orbit"
-
     @property
     def label(self) -> str:
         g = self.element
@@ -188,10 +182,9 @@ NilAtom = Union[PolynomialPhase, BracketPhase, HeisenbergOrbit]
 
 @dataclass(frozen=True)
 class Dictionary:
-    """Ordered collection of nilsequence atoms; step = max nilpotency step."""
+    """Ordered collection of distinct nilsequence atoms."""
 
     atoms: Tuple[NilAtom, ...]
-    step: int
 
     def __post_init__(self) -> None:
         if len(self.atoms) == 0:
@@ -207,39 +200,56 @@ class Dictionary:
         return tuple(atom.label for atom in self.atoms)
 
 
-def phase_fracs(atom: Union[PolynomialPhase, BracketPhase], ns: np.ndarray,
-                rows: Union[dict, None] = None) -> np.ndarray:
-    """Fractional part of a phase atom's phase at the integers ``ns``.
+def atom_rows(atoms: Sequence[NilAtom], ns: np.ndarray) -> np.ndarray:
+    """The atoms, of any family, at the int64 integers ``ns``, one row each.
 
-    Every term is reduced mod 1 exactly (see :mod:`._exact`).  ``rows``
-    caches the term rows and bracket multipliers by coefficient, so that the
-    atoms of a dictionary evaluated on one window share them.
+    Phase atoms reduce each term mod 1 exactly (see :mod:`._exact`) and
+    share their term rows ``frac(c n^k)`` and bracket multipliers
+    ``n floor(alpha n)``, so a row does not depend on the other atoms.
+    When every phase coefficient of an atom has a denominator ``D`` no
+    larger than ``len(ns)``, every phase is an exact multiple of ``1/D``
+    and its exponential is read from the ``D`` roots ``exp(2 pi i r/D)``,
+    the same ``exp`` of the same floats ``r/D``.
     """
-    rows = {} if rows is None else rows
-    if isinstance(atom, PolynomialPhase):
-        return poly_phase_fracs(atom.coefficients, ns, rows)
-    total = poly_phase_fracs((0.0, atom.linear, atom.quad), ns, rows)
-    if ("bracket", atom.alpha) not in rows:
-        rows["bracket", atom.alpha] = bracket_multipliers(atom.alpha, ns)
-    cross = ExactPoly.term(atom.cross, 1).fracs(rows["bracket", atom.alpha])
-    return mod1(total + cross)
+    psi = np.empty((len(atoms), len(ns)), dtype=np.complex128)
+    rows: dict = {}
+    roots: dict = {}
+    for i, atom in enumerate(atoms):
+        if isinstance(atom, HeisenbergOrbit):
+            # heis_reduce(heis_pow(g, n)) has x = frac(n g.x), y = frac(n g.y), each
+            # product rounded once and kept below 1 by _unit_interval_shift
+            if int(np.max(np.abs(ns), initial=0)) > _POW_GUARD:
+                raise ValueError("power exponent exceeds 2^62 guard")
+            k1, k2 = atom.observable.horizontal
+            x, y = (np.minimum(mod1(ExactPoly.term(c, 1).quotients(ns)), _BELOW_ONE)
+                    for c in (atom.element.x, atom.element.y))
+            psi[i] = unit_phases(k1 * x + k2 * y)
+            continue
+        if isinstance(atom, PolynomialPhase):
+            coefficients = atom.coefficients
+            fracs = poly_phase_fracs(coefficients, ns, rows)
+        elif isinstance(atom, BracketPhase):
+            coefficients = (atom.quad, atom.cross, atom.linear)
+            total = poly_phase_fracs((0.0, atom.linear, atom.quad), ns, rows)
+            if ("bracket", atom.alpha) not in rows:
+                rows["bracket", atom.alpha] = bracket_multipliers(atom.alpha, ns)
+            cross = ExactPoly.term(atom.cross, 1).fracs(rows["bracket", atom.alpha])
+            fracs = mod1(total + cross)
+        else:
+            raise TypeError(f"not a nilsequence atom: {atom!r}")
+        den = phase_denominator(coefficients)
+        if den > len(ns):
+            psi[i] = unit_phases(fracs)
+            continue
+        if den not in roots:
+            roots[den] = unit_phases(np.arange(den) / den)
+        psi[i] = roots[den][(fracs * den).astype(np.int64)]
+    return psi
 
 
 def eval_nilsequence(atom: NilAtom, w: Window) -> Signal:
     """Evaluate an atom on a window; every atom is unimodular (bound 1)."""
-    ns = w.indices()
-    if isinstance(atom, (PolynomialPhase, BracketPhase)):
-        return Signal(w, unit_phases(phase_fracs(atom, ns)), 1.0)
-    if isinstance(atom, HeisenbergOrbit):
-        # heis_reduce(heis_pow(g, n)) has x = frac(n g.x), y = frac(n g.y), each
-        # product rounded once and kept below 1 by _unit_interval_shift
-        if max(abs(w.start), abs(w.end - 1)) > _POW_GUARD:
-            raise ValueError("power exponent exceeds 2^62 guard")
-        k1, k2 = atom.observable.horizontal
-        x, y = (np.minimum(mod1(ExactPoly.term(c, 1).quotients(ns)), _BELOW_ONE)
-                for c in (atom.element.x, atom.element.y))
-        return Signal(w, unit_phases(k1 * x + k2 * y), 1.0)
-    raise TypeError(f"not a nilsequence atom: {atom!r}")
+    return Signal(w, atom_rows((atom,), w.indices())[0], 1.0)
 
 
 def torus_interpolate(points: Sequence) -> np.ndarray:

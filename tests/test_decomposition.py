@@ -100,7 +100,7 @@ def test_singular_gram_requires_ridge():
     # four distinct frequencies restricted to two points: rank-deficient
     w2 = Window(0, 2)
     atoms = tuple(PolynomialPhase((0.0, j / 4)) for j in range(4))
-    d = Dictionary(atoms, step=1)
+    d = Dictionary(atoms)
     target = Signal(w2, np.ones(2, dtype=complex), 1.0)
     with pytest.raises(ValueError, match="ridge"):
         project_and_clip(target, d, 2, ridge=0.0)
@@ -281,7 +281,7 @@ _ATOM = st.one_of(
 @settings(max_examples=80, deadline=None)
 @given(st.lists(_ATOM, min_size=1, max_size=8, unique=True), oracle_windows())
 def test_atom_matrix_matches_per_atom_oracle(atoms, w):
-    psi = atom_matrix(Dictionary(tuple(atoms), 2), w)
+    psi = atom_matrix(Dictionary(tuple(atoms)), w)
     expected = np.array([_atom_row(atom, w) for atom in atoms])
     assert np.array_equal(psi, expected)  # bit for bit
 
@@ -324,7 +324,7 @@ def test_atom_rows_at_the_int64_switch(atom, start, end, below):
         size = top * math.floor(Fraction(atom.alpha) * top)
     assert (size < 2**62) == below
     w = Window(start, end)
-    psi = atom_matrix(Dictionary((atom,), 2), w)
+    psi = atom_matrix(Dictionary((atom,)), w)
     assert np.array_equal(psi, np.array([_atom_row(atom, w)]))  # bit for bit
     assert np.array_equal(eval_nilsequence(atom, w).values, psi[0])
 

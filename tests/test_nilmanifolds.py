@@ -256,9 +256,9 @@ def test_nilkey_reconstruct_zero_point():
 def test_dictionary_invariants():
     a1 = PolynomialPhase((0.0, 0.25))
     a2 = PolynomialPhase((0.0, 0.5))
-    d = Dictionary((a1, a2), step=1)
+    d = Dictionary((a1, a2))
     assert len(d) == 2 and d.labels[0] == a1.label
     with pytest.raises(ValueError, match="distinct"):
-        Dictionary((a1, a1), step=1)
+        Dictionary((a1, a1))
     with pytest.raises(ValueError):
-        Dictionary((), step=1)
+        Dictionary(())
