@@ -206,7 +206,7 @@ def decompose(a: Signal, order: int, epsilon: float, spec: DictionarySpec,
     distance to the structured class.
 
     The atom matrix, Gram matrix and solve are the same floats whatever
-    the evaluation order of the atoms (see :func:`atom_matrix`); this
+    the evaluation order of the atoms (see :func:`atom_rows`); this
     matters because the ridge solve of a rank-deficient dictionary moves
     its coefficients by about 1e-6 when the Gram changes in the last bit.
     The worst atom correlation is one matrix-vector product, which sums in

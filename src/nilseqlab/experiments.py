@@ -10,7 +10,6 @@ cached artifacts byte for byte.
 
 from __future__ import annotations
 
-import cmath
 import contextlib
 import csv
 import hashlib
@@ -401,7 +400,8 @@ def subsequence_average(a: Signal, spec: SubsequenceSpec,
     checkpoints = sorted(int(c) for c in checkpoints)
     if not checkpoints or checkpoints[0] < 1:
         raise ValueError("checkpoints must be positive integers")
-    terms = spec.generate(checkpoints[-1], seed=seed, end=a.window.end)
+    count = min(checkpoints[-1], a.window.length)  # no more terms fit in the window
+    terms = spec.generate(count, seed=seed, end=a.window.end)
     inside = (terms >= a.window.start) & (terms < a.window.end)
     if len(terms) < checkpoints[-1] or not inside.all():
         usable = int(np.argmin(inside)) if not inside.all() else len(terms)
@@ -501,10 +501,14 @@ def _system_from_config(raw: Mapping, where: str) -> AffineToralSystem:
     _require_keys(raw, ("dimension", "transformations"),
                   ("dimension", "transformations"), where)
     try:
+        for t in raw["transformations"]:
+            _require_keys(t, ("matrix", "alpha"), ("matrix", "alpha"),
+                          "transformations")
         maps = tuple(
             ToralMap(tuple(tuple(_config_int(v, "matrix") for v in row)
                            for row in t["matrix"]),
-                     tuple(float(x) for x in t["alpha"]))
+                     tuple(_config_real(x, "alpha", signed=True)
+                           for x in t["alpha"]))
             for t in raw["transformations"]
         )
         return AffineToralSystem(_config_int(raw["dimension"], "dimension"),
@@ -515,12 +519,15 @@ def _system_from_config(raw: Mapping, where: str) -> AffineToralSystem:
 
 def _query_from_params(params: Mapping, where: str) -> CorrelationQuery:
     system = _system_from_config(params["system"], f"{where}.system")
+    terms = f"{where}.observables"
     try:
+        for term in (term for obs in params["observables"] for term in obs):
+            _require_keys(term, ("k", "re", "im"), ("k",), terms)
         observables = tuple(
             TrigObservable(tuple(
-                (tuple(_config_int(v, f"{where}.observables.k")
-                       for v in term["k"]),
-                 complex(term.get("re", 1.0), term.get("im", 0.0)))
+                (tuple(_config_int(v, f"{terms}.k") for v in term["k"]),
+                 complex(_config_real(term.get("re", 1.0), f"{terms}.re", signed=True),
+                         _config_real(term.get("im", 0.0), f"{terms}.im", signed=True)))
                 for term in obs
             ))
             for obs in params["observables"]
@@ -535,8 +542,6 @@ def _query_from_params(params: Mapping, where: str) -> CorrelationQuery:
         raise
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"{where}: {exc}") from exc
-    if not all(cmath.isfinite(c) for obs in observables for _, c in obs.terms):
-        raise ConfigError(f"{where}.observables: coefficients must be finite")
     try:
         query.require_valid()
     except ValueError as exc:

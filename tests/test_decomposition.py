@@ -284,6 +284,8 @@ def test_atom_matrix_matches_per_atom_oracle(atoms, w):
     psi = atom_matrix(Dictionary(tuple(atoms)), w)
     expected = np.array([_atom_row(atom, w) for atom in atoms])
     assert np.array_equal(psi, expected)  # bit for bit
+    for atom, row in zip(atoms, expected):
+        assert np.array_equal(eval_nilsequence(atom, w).values, row)
 
 
 @settings(max_examples=60, deadline=None)

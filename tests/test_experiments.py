@@ -181,6 +181,22 @@ def test_subsequence_window_exhausted_names_checkpoint():
                             checkpoints=[60])
 
 
+def test_subsequence_draws_no_more_terms_than_the_window_holds(monkeypatch):
+    asked = []
+    generate = SubsequenceSpec.generate
+
+    def spy(self, count, *args, **kwargs):
+        asked.append(count)
+        return generate(self, count, *args, **kwargs)
+
+    monkeypatch.setattr(SubsequenceSpec, "generate", spy)
+    sig = constant_signal(1.0, Window(0, 64))
+    with pytest.raises(ValueError, match="largest usable checkpoint is 63"):
+        subsequence_average(sig, SubsequenceSpec("identity"),
+                            checkpoints=[4, 10**7])
+    assert asked and max(asked) <= 64
+
+
 def test_subsequence_rotation_geometric_bound():
     alpha = 0.2901
     w = Window(0, 4097)
@@ -208,13 +224,14 @@ def test_class_distance_monotone_in_budget():
     rng = np.random.default_rng(23)
     w = Window(0, 256)
     target = Signal(w, np.exp(2j * np.pi * rng.random(256)), 1.0)
-    prev = None
-    for budget in (1, 8, 40):
-        res = class_distance(target, "A", 2, budget=budget, scale=256, seed=5)
-        assert res.evaluated <= budget
-        if prev is not None:
-            assert res.best_distance <= prev + 1e-15
-        prev = res.best_distance
+    for ell in (1, 2):
+        prev = None
+        for budget in (1, 8, 40):
+            res = class_distance(target, "A", ell, budget=budget, scale=256, seed=5)
+            assert res.evaluated <= budget
+            if prev is not None:
+                assert res.best_distance <= prev + 1e-15
+            prev = res.best_distance
 
 
 def test_class_distance_never_exceeds_zero_candidate():
@@ -617,6 +634,27 @@ def test_cli_non_object_value_exit_2(kind, field, value, tmp_path, capsys):
                                              "r": -2**70}}, "subsequence"),
     # a csv path must be a file name, not a number
     ("gowers", {"target": {"kind": "csv", "path": 12.5}}, "target.path"),
+    # S R and R S differ by 2^-40 in y: exact, not within a float tolerance
+    ("correlate", {"system": {"dimension": 2, "transformations": [
+        {"matrix": [[1, 0], [1, 1]], "alpha": [0.25, 0]},
+        {"matrix": [[1, 0], [0, 1]], "alpha": [2.0**-40, 0.5]}]},
+        "observables": [[{"k": [0, 1]}], [{"k": [0, -1]}]]}, "system"),
+    # a misspelt key, and alphas and coefficients that are not numbers
+    ("correlate", {"system": {"dimension": 1, "transformations": [
+        {"matrix": [[1]], "alpha": [0.25], "alpah": [0.5]},
+        {"matrix": [[1]], "alpha": [0.5]}]}}, "system"),
+    ("correlate", {"system": {"dimension": 1, "transformations": [
+        {"matrix": [[1]], "alpha": ["0.25"]},
+        {"matrix": [[1]], "alpha": [0.5]}]}}, "system"),
+    ("correlate", {"system": {"dimension": 1, "transformations": [
+        {"matrix": [[1]], "alpha": [False]},
+        {"matrix": [[1]], "alpha": [0.5]}]}}, "system"),
+    ("correlate", {"observables": [[{"k": [1], "Re": 0.5}], [{"k": [-1]}]]},
+     "observables"),
+    ("correlate", {"observables": [[{"k": [1], "re": True}], [{"k": [-1]}]]},
+     "observables"),
+    ("correlate", {"observables": [[{"k": [1]}], [{"k": [-1], "im": "0.5"}]]},
+     "observables"),
 ])
 def test_cli_bad_param_value_exit_2(kind, overrides, field, tmp_path, capsys):
     params, end = KIND_CONFIGS[kind]
