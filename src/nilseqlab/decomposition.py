@@ -110,15 +110,20 @@ def clip_to_unit_disk(values: np.ndarray) -> np.ndarray:
 
 
 _SINGULAR_RTOL = 1e-12
+GRAM_ROWS = 256  # atoms per row block of the Gram product
 
 
 def _solve_projection(a: Signal, psi: np.ndarray, ridge: float):
-    """Coefficients, their combination and the Gram matrix of the atoms."""
-    n = a.window.length
-    conj = np.conj(psi)
-    gram = conj @ psi.T / n
-    rhs = conj @ a.values / n
-    del conj  # the solve below must not hold a second atom-matrix-sized array
+    """Coefficients, their combination and the exactly Hermitian Gram."""
+    n, m = a.window.length, len(psi)
+    gram, rhs = np.empty((m, m), dtype=complex), np.empty(m, dtype=complex)
+    for i in range(0, m, GRAM_ROWS):
+        conj = np.conj(psi[i:i + GRAM_ROWS])  # this block's rows only
+        gram[i:i + GRAM_ROWS, i:] = conj @ psi[i:].T / n
+        rhs[i:i + GRAM_ROWS] = conj @ a.values / n
+    # mirror the upper triangle: a product alone is not bitwise Hermitian
+    np.copyto(gram, np.conj(gram).T, where=np.tri(m, k=-1, dtype=bool))
+    np.fill_diagonal(gram, gram.diagonal().real)
     system = gram + ridge * np.eye(len(psi))
     singular_msg = "Gram matrix is singular; pass a ridge parameter > 0"
     if ridge == 0.0:
@@ -205,9 +210,9 @@ def decompose(a: Signal, order: int, epsilon: float, spec: DictionarySpec,
     epsilon flag is advisory: a finite dictionary only upper-bounds the
     distance to the structured class.
 
-    The atom matrix, Gram matrix and solve are the same floats whatever
-    the evaluation order of the atoms (see :func:`atom_rows`); this
-    matters because the ridge solve of a rank-deficient dictionary moves
+    The atom matrix, the Gram (exactly Hermitian by construction) and the
+    solve are the same floats whatever the order of the atoms (see
+    :func:`atom_rows`); the ridge solve of a rank-deficient dictionary moves
     its coefficients by about 1e-6 when the Gram changes in the last bit.
     The worst atom correlation is one matrix-vector product, which sums in
     a different order than a per-atom mean and so agrees with it to about

@@ -519,7 +519,7 @@ def _system_from_config(raw: Mapping, where: str) -> AffineToralSystem:
 
 def _query_from_params(params: Mapping, where: str) -> CorrelationQuery:
     system = _system_from_config(params["system"], f"{where}.system")
-    terms = f"{where}.observables"
+    terms = field = f"{where}.observables"
     try:
         for term in (term for obs in params["observables"] for term in obs):
             _require_keys(term, ("k", "re", "im"), ("k",), terms)
@@ -532,16 +532,18 @@ def _query_from_params(params: Mapping, where: str) -> CorrelationQuery:
             ))
             for obs in params["observables"]
         )
+        field = f"{where}.iterates"
         iterates = tuple(
-            tuple(tuple(_config_int(c, f"{where}.iterates") for c in poly)
-                  for poly in row)
+            tuple(tuple(_config_int(c, field) for c in poly) for poly in row)
             for row in params["iterates"]
         )
         query = CorrelationQuery(system, observables, iterates)
     except ConfigError:
         raise
     except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
+        if "observable" in str(exc):  # a CorrelationQuery check of observables
+            field = terms
+        raise ConfigError(f"{field}: {exc}") from exc
     try:
         query.require_valid()
     except ValueError as exc:

@@ -18,6 +18,7 @@ import numpy as np
 
 BOUND_TOL = 1e-12
 _INT64_MAX = 2**63 - 1
+CSV_ROWS = 1024  # rows converted per slice by write_csv
 
 
 @dataclass(frozen=True)
@@ -217,11 +218,13 @@ def multiplicative_derivative(a: Signal, h: int) -> Signal:
 # ---------------------------------------------------------------------------
 
 def write_csv(a: Signal, path) -> None:
+    # csv.writer's bytes: no int or float repr needs quoting, rows end in CRLF
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["n", "re", "im"])
-        for n, v in zip(a.window.indices(), a.values):
-            writer.writerow([int(n), repr(float(v.real)), repr(float(v.imag))])
+        fh.write("n,re,im\r\n")
+        for lo in range(0, a.window.length, CSV_ROWS):  # no whole-file string
+            part, n0 = a.values[lo:lo + CSV_ROWS], a.window.start + lo
+            fh.writelines(f"{n},{x!r},{y!r}\r\n" for n, x, y in zip(
+                range(n0, n0 + len(part)), part.real.tolist(), part.imag.tolist()))
 
 
 def read_csv(path) -> Signal:

@@ -26,7 +26,7 @@ from nilseqlab import (
     inner_product,
     project_and_clip,
 )
-from nilseqlab.decomposition import atom_matrix
+from nilseqlab.decomposition import GRAM_ROWS, _solve_projection, atom_matrix
 from nilseqlab.nilmanifolds import (BracketPhase, Dictionary, HeisenbergElement,
                                     HeisenbergObservable, HeisenbergOrbit,
                                     heis_pow, heis_reduce)
@@ -105,6 +105,38 @@ def test_singular_gram_requires_ridge():
     with pytest.raises(ValueError, match="ridge"):
         project_and_clip(target, d, 2, ridge=0.0)
     project_and_clip(target, d, 2, ridge=1e-6)  # regularized solve succeeds
+
+
+def _unimodular(w: Window, seed: int) -> Signal:
+    rng = np.random.default_rng(seed)
+    return Signal(w, np.exp(2j * np.pi * rng.random(w.length)), 1.0)
+
+
+@pytest.mark.parametrize("spec", [
+    DictionarySpec(step=1, freq_resolution=64),  # 64 atoms
+    DictionarySpec(step=2, freq_resolution=16, degrees=(1,),
+                   include_brackets=True),  # 16 + 240 = 256 atoms
+])
+def test_gram_of_one_block_is_the_full_product(spec):
+    psi = atom_matrix(build_dictionary(spec, W), W)
+    assert len(psi) <= GRAM_ROWS
+    _, _, gram = _solve_projection(_unimodular(W, 3), psi, 1e-8)
+    assert np.array_equal(gram, np.conj(psi) @ psi.T / W.length)
+
+
+def test_blocked_gram_is_exactly_hermitian():
+    # 289 atoms: two row blocks, the last one partial
+    spec = DictionarySpec(step=2, freq_resolution=17, budget=289)
+    psi = atom_matrix(build_dictionary(spec, W), W)
+    assert GRAM_ROWS < len(psi) < 2 * GRAM_ROWS
+    target = _unimodular(W, 4)
+    _, _, gram = _solve_projection(target, psi, 1e-8)
+    assert np.array_equal(gram, gram.conj().T)
+    assert np.max(np.abs(gram - np.conj(psi) @ psi.T / W.length)) <= 1e-13
+    # the grid has period 17, so its rank is 17: the Cholesky check reads the
+    # mirrored lower triangle and still refuses it without a ridge
+    with pytest.raises(ValueError, match="ridge"):
+        _solve_projection(target, psi, 0.0)
 
 
 def test_clip_contraction_targets_disk():

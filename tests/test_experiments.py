@@ -655,6 +655,13 @@ def test_cli_non_object_value_exit_2(kind, field, value, tmp_path, capsys):
      "observables"),
     ("correlate", {"observables": [[{"k": [1]}], [{"k": [-1], "im": "0.5"}]]},
      "observables"),
+    # observables and iterates of the wrong shape name their own field
+    ("correlate", {"observables": 5}, "observables"),
+    ("correlate", {"iterates": 5}, "iterates"),
+    ("correlate", {"observables": [[{"k": 1}], [{"k": [-1]}]]}, "observables"),
+    ("correlate", {"observables": [[{"k": [1, 0]}], [{"k": [-1, 0]}]]},
+     "observables"),  # two-dimensional frequencies on a one-dimensional system
+    ("correlate", {"iterates": [[[0, 1]], [[0], [0, 1]]]}, "iterates"),
 ])
 def test_cli_bad_param_value_exit_2(kind, overrides, field, tmp_path, capsys):
     params, end = KIND_CONFIGS[kind]

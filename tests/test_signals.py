@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import cmath
+import csv
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from nilseqlab import (
     Signal,
@@ -22,6 +24,7 @@ from nilseqlab import (
     window_mean,
     write_csv,
 )
+from nilseqlab.signals import CSV_ROWS
 
 TOL = 1e-9
 
@@ -236,4 +239,46 @@ def test_csv_roundtrip(tmp_path):
     back = read_csv(path)
     assert back.window == w
     assert np.array_equal(back.values, sig.values)
+
+
+def _csv_writer_oracle(a: Signal, path) -> None:
+    """The slow form of ``write_csv``: one ``csv.writer`` row per sample."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["n", "re", "im"])
+        for n, v in zip(a.window.indices(), a.values):
+            writer.writerow([int(n), repr(float(v.real)), repr(float(v.imag))])
+
+
+def _assert_csv_matches_oracle(sig: Signal, tmp_path) -> None:
+    fast, slow = tmp_path / "fast.csv", tmp_path / "slow.csv"
+    write_csv(sig, fast)
+    _csv_writer_oracle(sig, slow)
+    assert fast.read_bytes() == slow.read_bytes()
+
+
+_CSV_PARTS = (0.0, -0.0, 5e-324, -5e-324, 1e-5, 1e16, 1e22, -1e22, 0.1, 0.2,
+              1 / 3, 2.0**53 + 2, -1.5)
+
+
+@pytest.mark.parametrize("start", [0, -10**6, 2**62 - CSV_ROWS - 3])
+def test_write_csv_matches_csv_writer_oracle(start, tmp_path):
+    # every pair of special parts as (re, im), over more than two slices
+    pairs = [(x, y) for x in _CSV_PARTS for y in _CSV_PARTS]
+    pairs += [(0.1, 0.2)] * (2 * CSV_ROWS + 5 - len(pairs))
+    values = np.empty(len(pairs), dtype=complex)
+    values.real, values.imag = np.array(pairs).T
+    assert values[-1] == 0.1 + 0.2j and str(values[1].imag) == "-0.0"
+    _assert_csv_matches_oracle(Signal(Window(start, start + len(values)), values),
+                               tmp_path)
+
+
+@settings(max_examples=40, deadline=None)
+@given(values=arrays(np.complex128, st.integers(1, 2 * CSV_ROWS + 3),
+                     elements=st.complex_numbers(allow_nan=False,
+                                                 allow_infinity=False)),
+       start=st.integers(-2**62, 2**62))
+def test_write_csv_matches_oracle_on_random_arrays(values, start, tmp_path_factory):
+    _assert_csv_matches_oracle(Signal(Window(start, start + len(values)), values),
+                               tmp_path_factory.mktemp("csv"))
 
