@@ -12,6 +12,8 @@ is advisory.
 from __future__ import annotations
 
 import itertools
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Tuple, Union
 
@@ -110,17 +112,22 @@ def clip_to_unit_disk(values: np.ndarray) -> np.ndarray:
 
 
 _SINGULAR_RTOL = 1e-12
-GRAM_ROWS = 256  # atoms per row block of the Gram product
+GRAM_ROWS = 128  # atoms per row block of the Gram product
 
 
 def _solve_projection(a: Signal, psi: np.ndarray, ridge: float):
-    """Coefficients, their combination and the exactly Hermitian Gram."""
+    """Coefficients, their combination and the exactly Hermitian Gram, whose
+    row blocks run on the process's CPUs: the same floats for any count."""
     n, m = a.window.length, len(psi)
     gram, rhs = np.empty((m, m), dtype=complex), np.empty(m, dtype=complex)
-    for i in range(0, m, GRAM_ROWS):
+    def block(i: int) -> None:  # on a worker: call nothing perfbench traces
         conj = np.conj(psi[i:i + GRAM_ROWS])  # this block's rows only
-        gram[i:i + GRAM_ROWS, i:] = conj @ psi[i:].T / n
+        gram[i:i + GRAM_ROWS, i:] = conj @ psi[i:].T / n  # releases the GIL
         rhs[i:i + GRAM_ROWS] = conj @ a.values / n
+    starts = range(0, m, GRAM_ROWS)
+    workers = min(len(starts), len(os.sched_getaffinity(0)))
+    with ThreadPoolExecutor(workers) as pool:  # one worker: inline, no thread
+        list((pool.map if workers > 1 else map)(block, starts))
     # mirror the upper triangle: a product alone is not bitwise Hermitian
     np.copyto(gram, np.conj(gram).T, where=np.tri(m, k=-1, dtype=bool))
     np.fill_diagonal(gram, gram.diagonal().real)
@@ -210,9 +217,10 @@ def decompose(a: Signal, order: int, epsilon: float, spec: DictionarySpec,
     epsilon flag is advisory: a finite dictionary only upper-bounds the
     distance to the structured class.
 
-    The atom matrix, the Gram (exactly Hermitian by construction) and the
-    solve are the same floats whatever the order of the atoms (see
-    :func:`atom_rows`); the ridge solve of a rank-deficient dictionary moves
+    The atom matrix, the Gram (exactly Hermitian by construction, its row
+    blocks run on the CPUs the process may use) and the solve are the same
+    floats whatever the order of the atoms (see :func:`atom_rows`) and the
+    number of CPUs; the ridge solve of a rank-deficient dictionary moves
     its coefficients by about 1e-6 when the Gram changes in the last bit.
     The worst atom correlation is one matrix-vector product, which sums in
     a different order than a per-atom mean and so agrees with it to about

@@ -554,6 +554,8 @@ def _query_from_params(params: Mapping, where: str) -> CorrelationQuery:
 def _parse_gowers(params: dict, window: Window, where: str) -> dict:
     H, L = (None if params.get(k) is None
             else _config_int(params[k], f"{where}.{k}") for k in ("H", "L"))
+    if H is not None and H < 1:  # before GowersParams raises a bare ValueError
+        raise ConfigError(f"{where}.H: must be >= 1")
     gowers = GowersParams(_config_int(params["order"], f"{where}.order"),
                           shift_count=H, scale=L)
     try:

@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import cmath
 import math
+import os
+import sys
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -114,8 +117,10 @@ def _unimodular(w: Window, seed: int) -> Signal:
 
 @pytest.mark.parametrize("spec", [
     DictionarySpec(step=1, freq_resolution=64),  # 64 atoms
-    DictionarySpec(step=2, freq_resolution=16, degrees=(1,),
-                   include_brackets=True),  # 16 + 240 = 256 atoms
+    # Q + Q(Q - 1) = Q^2 atoms; an even Q makes Q^2 a multiple of 4, for
+    # which the full product is bitwise Hermitian on OpenBLAS
+    DictionarySpec(step=2, freq_resolution=math.isqrt(GRAM_ROWS) // 2 * 2,
+                   degrees=(1,), include_brackets=True),
 ])
 def test_gram_of_one_block_is_the_full_product(spec):
     psi = atom_matrix(build_dictionary(spec, W), W)
@@ -125,18 +130,57 @@ def test_gram_of_one_block_is_the_full_product(spec):
 
 
 def test_blocked_gram_is_exactly_hermitian():
-    # 289 atoms: two row blocks, the last one partial
-    spec = DictionarySpec(step=2, freq_resolution=17, budget=289)
+    # (isqrt(R) + 2)^2 atoms, between R = GRAM_ROWS and 2R: two row blocks,
+    # the last one partial (169 atoms at R = 128)
+    spec = DictionarySpec(step=2, freq_resolution=math.isqrt(GRAM_ROWS) + 2)
     psi = atom_matrix(build_dictionary(spec, W), W)
     assert GRAM_ROWS < len(psi) < 2 * GRAM_ROWS
     target = _unimodular(W, 4)
     _, _, gram = _solve_projection(target, psi, 1e-8)
     assert np.array_equal(gram, gram.conj().T)
     assert np.max(np.abs(gram - np.conj(psi) @ psi.T / W.length)) <= 1e-13
-    # the grid has period 17, so its rank is 17: the Cholesky check reads the
+    # the grid has period Q, so its rank is Q: the Cholesky check reads the
     # mirrored lower triangle and still refuses it without a ridge
     with pytest.raises(ValueError, match="ridge"):
         _solve_projection(target, psi, 0.0)
+
+
+def _gram_oracle(a: Signal, psi: np.ndarray, ridge: float, rows: int = 256):
+    """The sequential Gram, 256 rows a block in order, and the ridge solve."""
+    n, m = a.window.length, len(psi)
+    gram, rhs = np.empty((m, m), dtype=complex), np.empty(m, dtype=complex)
+    for i in range(0, m, rows):
+        conj = np.conj(psi[i:i + rows])
+        gram[i:i + rows, i:] = conj @ psi[i:].T / n
+        rhs[i:i + rows] = conj @ a.values / n
+    np.copyto(gram, np.conj(gram).T, where=np.tri(m, k=-1, dtype=bool))
+    np.fill_diagonal(gram, gram.diagonal().real)
+    coeffs = np.linalg.solve(gram + ridge * np.eye(m), rhs)
+    return coeffs, coeffs @ psi, gram
+
+
+@pytest.mark.parametrize("cpus", [1, 8])  # inline, and more threads than CPUs
+@pytest.mark.parametrize("spec,length", [
+    (DictionarySpec(step=2, freq_resolution=32), 1024),  # 8 blocks of 128
+    (DictionarySpec(step=2, freq_resolution=16, degrees=(1,),
+                    include_brackets=True), 512),  # 256 atoms
+    (DictionarySpec(step=2, freq_resolution=17), 512),  # 289: last block partial
+])
+def test_threaded_gram_matches_sequential_oracle(spec, length, cpus,
+                                                 monkeypatch):
+    w = Window(0, length)
+    psi = atom_matrix(build_dictionary(spec, w), w)
+    target, ridge = _unimodular(w, 5), spec.resolved_ridge(len(psi))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    threads, interval = threading.active_count(), sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = _solve_projection(target, psi, ridge)
+    finally:
+        sys.setswitchinterval(interval)
+    assert threading.active_count() == threads  # no worker outlives the call
+    for value, expected in zip(got, _gram_oracle(target, psi, ridge)):
+        assert np.array_equal(value, expected)
 
 
 def test_clip_contraction_targets_disk():

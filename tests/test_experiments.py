@@ -662,6 +662,11 @@ def test_cli_non_object_value_exit_2(kind, field, value, tmp_path, capsys):
     ("correlate", {"observables": [[{"k": [1, 0]}], [{"k": [-1, 0]}]]},
      "observables"),  # two-dimensional frequencies on a one-dimensional system
     ("correlate", {"iterates": [[[0, 1]], [[0], [0, 1]]]}, "iterates"),
+    # a shift count below 1, refused before GowersParams is built
+    ("gowers", {"H": 0}, "H"),
+    ("gowers", {"H": -3}, "H"),
+    ("decompose", {"H": 0}, "H"),
+    ("anti-uniformity", {"H": 0}, "H"),
 ])
 def test_cli_bad_param_value_exit_2(kind, overrides, field, tmp_path, capsys):
     params, end = KIND_CONFIGS[kind]
@@ -811,6 +816,44 @@ def test_cli_help_lists_every_command():
     for kind, spec in KINDS.items():
         assert f"{spec.command or kind} " in out.stdout
         assert spec.help in out.stdout
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2,
+                    reason="needs a second CPU to run the Gram on threads")
+def test_decompose_artifacts_do_not_depend_on_cpu_count(tmp_path):
+    """A step-2 Q=32 Gram has 8 row blocks: pinned to one CPU they run
+    inline, unpinned on threads, and every artifact keeps its bytes."""
+    raw = base_config("decompose", {
+        "target": {"kind": "noise"}, "order": 2, "epsilon": 0.1, "H": 8,
+        "dictionary": {"step": 2, "Q": 32}}, end=1024)
+    config = write_config(tmp_path, raw)
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    # one BLAS thread on both sides: the ridge solve of this rank-deficient
+    # dictionary moves by about 1e-6 with the BLAS thread count
+    env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    pin = min(os.sched_getaffinity(0))
+    outputs = {}
+    for cpus in ({pin}, None):
+        out = tmp_path / ("one" if cpus else "all")
+        code = ("import os, sys\n"
+                f"if {cpus!r}: os.sched_setaffinity(0, {cpus!r})\n"
+                "from nilseqlab.cli import main\n"
+                "sys.exit(main(sys.argv[1:]))")
+        run = subprocess.run(
+            [sys.executable, "-c", code, "decompose", "--config", config,
+             "--out", str(out), "--no-cache"],
+            capture_output=True, text=True, env=env, timeout=300)
+        assert run.returncode == 0, run.stderr
+        manifest = json.loads((out / "manifest.json").read_text())
+        del manifest["wall_time_s"]
+        outputs[cpus is None] = {
+            p.name: manifest if p.name == "manifest.json" else p.read_bytes()
+            for p in sorted(out.iterdir())}
+    assert sorted(outputs[True]) == ["a_er.csv", "a_st.csv",
+                                     "decomposition.json", "manifest.json"]
+    assert outputs[False] == outputs[True]
 
 
 def test_cli_unknown_command_exit_2(tmp_path, capsys):
