@@ -11,6 +11,7 @@ is advisory.
 
 from __future__ import annotations
 
+import ctypes
 import itertools
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -115,9 +116,31 @@ _SINGULAR_RTOL = 1e-12
 GRAM_ROWS = 128  # atoms per row block of the Gram product
 
 
+def _blas_threads() -> int:
+    """The thread count of numpy's OpenBLAS, 0 when the BLAS does not say."""
+    try:
+        lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+    except OSError:
+        return 0
+    names = ("scipy_openblas_get_num_threads64_",  # numpy's wheels
+             "openblas_get_num_threads64_", "openblas_get_num_threads")
+    return next((getattr(lib, f)() for f in names if hasattr(lib, f)), 0)
+
+
+def _gram_workers(blocks: int) -> int:
+    """A thread per row block and CPU, beside a single-threaded BLAS only:
+    a multi-threaded BLAS spreads each product over the CPUs itself, and
+    workers beside it would only contend with its threads."""
+    if blocks < 2 or _blas_threads() != 1:
+        return 1
+    cpus = getattr(os, "sched_getaffinity",  # Linux; elsewhere every CPU
+                   lambda _: range(os.cpu_count() or 1))(0)
+    return min(blocks, len(cpus))
+
+
 def _solve_projection(a: Signal, psi: np.ndarray, ridge: float):
     """Coefficients, their combination and the exactly Hermitian Gram, whose
-    row blocks run on the process's CPUs: the same floats for any count."""
+    row blocks run on :func:`_gram_workers`: the same floats for any count."""
     n, m = a.window.length, len(psi)
     gram, rhs = np.empty((m, m), dtype=complex), np.empty(m, dtype=complex)
     def block(i: int) -> None:  # on a worker: call nothing perfbench traces
@@ -125,7 +148,7 @@ def _solve_projection(a: Signal, psi: np.ndarray, ridge: float):
         gram[i:i + GRAM_ROWS, i:] = conj @ psi[i:].T / n  # releases the GIL
         rhs[i:i + GRAM_ROWS] = conj @ a.values / n
     starts = range(0, m, GRAM_ROWS)
-    workers = min(len(starts), len(os.sched_getaffinity(0)))
+    workers = _gram_workers(len(starts))
     with ThreadPoolExecutor(workers) as pool:  # one worker: inline, no thread
         list((pool.map if workers > 1 else map)(block, starts))
     # mirror the upper triangle: a product alone is not bitwise Hermitian
@@ -218,10 +241,11 @@ def decompose(a: Signal, order: int, epsilon: float, spec: DictionarySpec,
     distance to the structured class.
 
     The atom matrix, the Gram (exactly Hermitian by construction, its row
-    blocks run on the CPUs the process may use) and the solve are the same
-    floats whatever the order of the atoms (see :func:`atom_rows`) and the
-    number of CPUs; the ridge solve of a rank-deficient dictionary moves
-    its coefficients by about 1e-6 when the Gram changes in the last bit.
+    blocks on a thread per CPU beside a single-threaded BLAS) and the solve
+    are the same floats whatever the order of the atoms (see
+    :func:`atom_rows`) and the number of Gram threads; the ridge solve of a
+    rank-deficient dictionary moves its coefficients by about 1e-6 when the
+    Gram changes in the last bit.
     The worst atom correlation is one matrix-vector product, which sums in
     a different order than a per-atom mean and so agrees with it to about
     1e-16 relative.

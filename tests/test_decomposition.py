@@ -5,6 +5,7 @@ from __future__ import annotations
 import cmath
 import math
 import os
+import subprocess
 import sys
 import threading
 from fractions import Fraction
@@ -29,7 +30,9 @@ from nilseqlab import (
     inner_product,
     project_and_clip,
 )
-from nilseqlab.decomposition import GRAM_ROWS, _solve_projection, atom_matrix
+from nilseqlab import decomposition
+from nilseqlab.decomposition import (GRAM_ROWS, _gram_workers, _solve_projection,
+                                      atom_matrix)
 from nilseqlab.nilmanifolds import (BracketPhase, Dictionary, HeisenbergElement,
                                     HeisenbergObservable, HeisenbergOrbit,
                                     heis_pow, heis_reduce)
@@ -171,7 +174,9 @@ def test_threaded_gram_matches_sequential_oracle(spec, length, cpus,
     w = Window(0, length)
     psi = atom_matrix(build_dictionary(spec, w), w)
     target, ridge = _unimodular(w, 5), spec.resolved_ridge(len(psi))
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    monkeypatch.setattr(decomposition, "_blas_threads", lambda: 1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                        raising=False)
     threads, interval = threading.active_count(), sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -181,6 +186,39 @@ def test_threaded_gram_matches_sequential_oracle(spec, length, cpus,
     assert threading.active_count() == threads  # no worker outlives the call
     for value, expected in zip(got, _gram_oracle(target, psi, ridge)):
         assert np.array_equal(value, expected)
+
+
+@pytest.mark.parametrize("blas,blocks,cpus,workers", [
+    (1, 8, 2, 2), (1, 8, 16, 8), (1, 1, 2, 1),  # one block runs inline
+    (2, 8, 2, 1), (0, 8, 2, 1),  # a BLAS with threads, or one that won't say
+])
+def test_gram_workers_only_beside_a_single_threaded_blas(blas, blocks, cpus,
+                                                         workers, monkeypatch):
+    monkeypatch.setattr(decomposition, "_blas_threads", lambda: blas)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                        raising=False)
+    assert _gram_workers(blocks) == workers
+    # without an affinity mask (not Linux) every CPU counts
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    assert _gram_workers(blocks) == workers
+
+
+def test_blas_threads_reads_the_blas_numpy_links():
+    code = ("from nilseqlab.decomposition import _blas_threads; "
+            "print(_blas_threads())")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    counts = []
+    for threads in ("1", "2"):
+        env.update(OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        run = subprocess.run([sys.executable, "-c", code], env=env, text=True,
+                             capture_output=True, timeout=60, check=True)
+        counts.append(int(run.stdout))
+    if counts == [0, 0]:
+        pytest.skip("numpy's BLAS does not report its thread count")
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count())
+    assert counts == [1, min(2, cpus)]  # OpenBLAS runs no more than the CPUs
 
 
 def test_clip_contraction_targets_disk():

@@ -831,7 +831,8 @@ def test_decompose_artifacts_do_not_depend_on_cpu_count(tmp_path):
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parents[1] / "src")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    # the artifacts also depend on the BLAS thread count, which stays fixed
+    # one BLAS thread: the Gram runs on threads only beside a single-threaded
+    # BLAS, and the artifacts also depend on the BLAS thread count
     env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     first = min(os.sched_getaffinity(0))
     outputs = {}
