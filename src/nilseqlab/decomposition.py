@@ -117,14 +117,12 @@ GRAM_ROWS = 128  # atoms per row block of the Gram product
 
 
 def _blas_threads() -> int:
-    """The thread count of numpy's OpenBLAS, 0 when the BLAS does not say."""
+    """The thread count of the OpenBLAS in numpy's wheels, else 0."""
     try:
-        lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
-    except OSError:
+        lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)  # links the BLAS
+        return lib.scipy_openblas_get_num_threads64_()
+    except (OSError, AttributeError):  # not loadable, or another BLAS
         return 0
-    names = ("scipy_openblas_get_num_threads64_",  # numpy's wheels
-             "openblas_get_num_threads64_", "openblas_get_num_threads")
-    return next((getattr(lib, f)() for f in names if hasattr(lib, f)), 0)
 
 
 def _gram_workers(blocks: int) -> int:
