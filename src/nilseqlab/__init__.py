@@ -11,9 +11,6 @@ from .signals import (  # noqa: F401
     inner_product,
     multiplicative_derivative,
     read_csv,
-    signal_from,
-    uniform_cesaro_mean,
-    window_mean,
     write_csv,
 )
 from .uniformity import (  # noqa: F401
@@ -64,7 +61,6 @@ from .decomposition import (  # noqa: F401
     build_dictionary,
     clip_to_unit_disk,
     decompose,
-    project_and_clip,
 )
 from .experiments import (  # noqa: F401
     ClassDistanceResult,

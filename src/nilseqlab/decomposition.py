@@ -56,6 +56,8 @@ class DictionarySpec:
         if degrees is None:
             degrees = tuple(range(1, self.step + 1))
         degrees = tuple(sorted(set(int(d) for d in degrees)))
+        if not degrees:
+            raise ValueError("degrees must not be empty")
         if any(d < 1 or d > self.step for d in degrees):
             raise ValueError("degrees must lie in 1..step")
         object.__setattr__(self, "degrees", degrees)
@@ -68,8 +70,8 @@ class DictionarySpec:
         return 1e-8 * atom_count
 
 
-def build_dictionary(spec: DictionarySpec, w: Window) -> Dictionary:
-    """Deterministic atom enumeration for a window.
+def build_dictionary(spec: DictionarySpec) -> Dictionary:
+    """Deterministic atom enumeration; the atoms do not depend on a window.
 
     Atom order: polynomial phases in lexicographic coefficient order
     (highest degree fastest), then bracket atoms if enabled.
@@ -171,27 +173,6 @@ def _solve_projection(a: Signal, psi: np.ndarray, ridge: float):
     return coeffs, coeffs @ psi, gram
 
 
-def project_and_clip(a: Signal, dictionary: Dictionary, scale: int,
-                     ridge: float = 0.0, *, enforce_bound: bool = True
-                     ) -> Tuple[Signal, np.ndarray]:
-    """Least-squares projection in the window-mean inner product, clipped.
-
-    Minimizes ``mean |a - sum_j c_j psi_j|^2 + ridge * |c|^2`` and returns
-    the clipped combination together with the coefficients.  Requires
-    ``sup |a| <= 1`` (the clipping argument needs it) unless the caller
-    explicitly waives the check.
-    """
-    if enforce_bound and a.sup_norm > 1.0 + BOUND_SLACK:
-        raise ValueError(
-            f"signal sup-norm {a.sup_norm} exceeds 1; clipping requires a "
-            "bounded input (pass enforce_bound=False to waive)"
-        )
-    density_seminorm(a, scale)  # validates the scale against the window
-    psi = atom_matrix(dictionary, a.window)
-    coeffs, combo, _ = _solve_projection(a, psi, ridge)
-    return Signal(a.window, clip_to_unit_disk(combo), 1.0), coeffs
-
-
 @dataclass(frozen=True, eq=False)
 class DecompositionReport:
     """Structured part, error part, and every diagnostic norm of the split."""
@@ -229,14 +210,16 @@ class DecompositionReport:
         }
 
 
-def decompose(a: Signal, order: int, epsilon: float, spec: DictionarySpec,
+def decompose(a: Signal, epsilon: float, spec: DictionarySpec,
               gowers: GowersParams) -> DecompositionReport:
     """Split a bounded signal into clipped dictionary projection plus error.
 
-    The reported ``delta`` is ``(epsilon / 16)^(2^order)``, the
-    orthogonality threshold matching an anti-uniformity constant of 4.  The
-    epsilon flag is advisory: a finite dictionary only upper-bounds the
-    distance to the structured class.
+    The projection minimizes ``mean |a - sum_j c_j psi_j|^2 + ridge |c|^2``;
+    its clipping needs ``sup |a| <= 1``.  The reported ``delta`` is
+    ``(epsilon / 16)^(2^gowers.order)``, the orthogonality threshold
+    matching an anti-uniformity constant of 4.  The epsilon flag is
+    advisory: a finite dictionary only upper-bounds the distance to the
+    structured class.
 
     The atom matrix, the Gram (exactly Hermitian by construction, its row
     blocks on a thread per CPU beside a single-threaded BLAS) and the solve
@@ -252,7 +235,7 @@ def decompose(a: Signal, order: int, epsilon: float, spec: DictionarySpec,
         raise ValueError("epsilon must be positive")
     if a.sup_norm > 1.0 + BOUND_SLACK:
         raise ValueError(f"signal sup-norm {a.sup_norm} exceeds 1")
-    dictionary = build_dictionary(spec, a.window)
+    dictionary = build_dictionary(spec)
     psi = atom_matrix(dictionary, a.window)
     ridge = spec.resolved_ridge(len(dictionary))
     coeffs, combo, gram = _solve_projection(a, psi, ridge)
@@ -268,7 +251,7 @@ def decompose(a: Signal, order: int, epsilon: float, spec: DictionarySpec,
     corr = np.abs(psi @ np.conj(a_er.values)) / full
     denom = np.maximum(1.0, np.sqrt(gram.diagonal().real))
     worst = float(np.max(corr / denom))
-    delta = (epsilon / 16.0) ** (2 ** order)
+    delta = (epsilon / 16.0) ** (2 ** gowers.order)
     return DecompositionReport(
         atom_labels=dictionary.labels,
         coefficients=coeffs,

@@ -32,7 +32,7 @@ from .decomposition import DictionarySpec, decompose
 from .errors import ConfigError
 from .nilmanifolds import BracketPhase, PolynomialPhase, eval_nilsequence, torus_interpolate
 from .signals import (Signal, Window, constant_signal, density_seminorm,
-                      read_csv, signal_from, write_csv)
+                      read_csv, write_csv)
 from .systems import (CLASS_MAX_ELL, AffineToralSystem, CorrelationQuery,
                       QuadratureSpec, ToralMap, TrigObservable, corpus_generate,
                       correlate_exact, correlate_numeric)
@@ -270,9 +270,7 @@ def build_signal(spec: Mapping, window: Window, rng: np.random.Generator,
                             float(spec.get("linear", 0.0)))
         return eval_nilsequence(atom, window)
     if kind == "alternating":
-        return signal_from(
-            lambda ns: np.where(ns % 2 == 0, 1.0 + 0j, -1.0 + 0j), window, 1.0
-        )
+        return Signal(window, np.where(window.indices() % 2 == 0, 1.0, -1.0), 1.0)
     if kind == "spike":
         vals = np.zeros(window.length, dtype=np.complex128)
         height = float(spec.get("height", 1.0))
@@ -629,7 +627,7 @@ def _parse_decompose(params: dict, window: Window, where: str) -> dict:
 def _run_decompose(cfg: ExperimentConfig, target: Signal, gowers: GowersParams,
                    epsilon: float, dictionary: DictionarySpec) -> dict:
     try:
-        report = decompose(target, gowers.order, epsilon, dictionary, gowers)
+        report = decompose(target, epsilon, dictionary, gowers)
     except ValueError as exc:  # known only once the target and atoms are built
         field = "dictionary.ridge" if "Gram" in str(exc) else "target"
         raise ConfigError(f"params.{field}: {exc}") from exc
@@ -807,14 +805,15 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
     A miss writes each artifact and the manifest once, into a private stage
     directory.  With caching enabled the stage is made under the cache root
     and renamed to become the entry for the config hash, which a rerun
-    replays byte-identically; the output directory gets copies.
+    replays byte-identically; the output directory gets copies.  It is
+    made only then, so a run refused on its built signals leaves none.
     """
     out_dir = Path(cfg.out_dir) if cfg.out_dir else Path.cwd()
-    out_dir.mkdir(parents=True, exist_ok=True)
     digest = cfg.digest()
     cached = cache_root() / digest
     if cfg.use_cache and cached.is_dir():
         names = sorted(p.name for p in cached.iterdir())
+        out_dir.mkdir(parents=True, exist_ok=True)
         for name in names:
             shutil.copyfile(cached / name, out_dir / name)
         return RunResult(digest, out_dir, tuple(names), cache_hit=True)
@@ -853,6 +852,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
             with contextlib.suppress(OSError):
                 os.replace(stage, cached)
         source = cached if cfg.use_cache and cached.is_dir() else stage
+        out_dir.mkdir(parents=True, exist_ok=True)
         for name in names:
             shutil.copyfile(source / name, out_dir / name)
     finally:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Union
+from typing import Union
 
 import numpy as np
 
@@ -129,13 +129,6 @@ class Signal:
         return Signal(self.window, c * self.values, bound)
 
 
-def signal_from(fn: Callable[[np.ndarray], Iterable[complex]], window: Window,
-                bound: Union[float, None] = None) -> Signal:
-    """Build a signal by evaluating ``fn`` on the window's index array."""
-    vals = np.asarray(fn(window.indices()), dtype=np.complex128)
-    return Signal(window, vals, bound)
-
-
 def constant_signal(c: complex, window: Window) -> Signal:
     return Signal(window, np.full(window.length, c, dtype=np.complex128), abs(c))
 
@@ -144,11 +137,6 @@ def constant_signal(c: complex, window: Window) -> Signal:
 # averaging primitives
 # ---------------------------------------------------------------------------
 
-def window_mean(a: Signal) -> complex:
-    """Plain mean of the values over the full window."""
-    return complex(np.mean(a.values))
-
-
 def sliding_window_sums(values: np.ndarray, length: int) -> np.ndarray:
     """Sums over every contiguous block of ``length`` entries.
 
@@ -156,18 +144,6 @@ def sliding_window_sums(values: np.ndarray, length: int) -> np.ndarray:
     """
     prefix = np.concatenate((np.zeros(1, dtype=values.dtype), np.cumsum(values)))
     return prefix[length:] - prefix[:-length]
-
-
-def uniform_cesaro_mean(a: Signal, scale: int) -> float:
-    """Max over all length-L subwindows of the absolute subwindow mean.
-
-    Finite stand-in for the uniform Cesaro limit; the value lies in
-    ``[0, sup |a|]`` and is monotone toward the limit as L grows on signals
-    whose averages stabilize.
-    """
-    L = _scale_length(scale, a.window)
-    sums = sliding_window_sums(a.values, L)
-    return float(np.max(np.abs(sums))) / L
 
 
 def density_seminorm(a: Signal, scale: int) -> float:
@@ -232,10 +208,13 @@ def read_csv(path) -> Signal:
     vals: list[complex] = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, [])  # an empty file has no header
         if header[:3] != ["n", "re", "im"]:
-            raise ValueError(f"unexpected CSV header {header!r}")
+            raise ValueError(f"CSV line 1: header {header!r} is not n,re,im")
         for row in reader:
+            if len(row) < 3:
+                raise ValueError(f"CSV line {reader.line_num}: expected n,re,im, "
+                                 f"got {len(row)} fields")
             ns.append(int(row[0]))
             vals.append(complex(float(row[1]), float(row[2])))
     if not ns:

@@ -136,8 +136,9 @@ def ghk_seminorm(a: Signal, params: GowersParams) -> GowersReport:
     """Inductive uniformity seminorm of a signal at finite scales.
 
     Deterministic: the h-loop runs ascending and each level averages with
-    numpy's pairwise summation.  The value is bounded by ``sup |a|`` and
-    equals the base subwindow mean when order is 1.  The H derivatives
+    numpy's pairwise summation.  The value lies in ``[0, sup |a|]``.  At
+    order 1 it is the largest absolute mean over the length-L subwindows,
+    the finite stand-in for the uniform Cesaro limit.  The H derivatives
     under each level-2 node are evaluated as one 2-D block whose rows are
     the same floats as H separate prefix sums, so ``value`` and
     ``per_level`` do not depend on that batching.
@@ -262,9 +263,3 @@ def anti_uniformity_ratio(a: Signal, b: Signal,
     bound = 4.0 * ghk_seminorm(b, params).value
     ratio = correlation / bound if bound > 0 else math.inf
     return AntiUniformityReport(correlation=correlation, bound=bound, ratio=ratio)
-
-
-def modulate(a: Signal, theta: float) -> Signal:
-    """Pointwise multiplication by the linear phase ``e^{2 pi i theta n}``."""
-    phases = np.exp(2j * np.pi * np.mod(theta * a.window.indices(), 1.0))
-    return Signal(a.window, a.values * phases, a.bound)

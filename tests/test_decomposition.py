@@ -28,7 +28,6 @@ from nilseqlab import (
     density_seminorm,
     eval_nilsequence,
     inner_product,
-    project_and_clip,
 )
 from nilseqlab import decomposition
 from nilseqlab.decomposition import (GRAM_ROWS, _gram_workers, _solve_projection,
@@ -45,34 +44,35 @@ def grid_atom(j: int, q: int) -> Signal:
 
 
 def test_build_dictionary_counts():
-    d = build_dictionary(DictionarySpec(step=1, freq_resolution=4), W)
+    d = build_dictionary(DictionarySpec(step=1, freq_resolution=4))
     assert len(d) == 4
     assert [a.coefficients[1] for a in d.atoms] == [0.0, 0.25, 0.5, 0.75]
 
-    single = build_dictionary(DictionarySpec(step=1, freq_resolution=1), W)
+    single = build_dictionary(DictionarySpec(step=1, freq_resolution=1))
     assert len(single) == 1
     assert single.atoms[0].coefficients == (0.0, 0.0)
 
-    two_step = build_dictionary(DictionarySpec(step=2, freq_resolution=8), W)
+    two_step = build_dictionary(DictionarySpec(step=2, freq_resolution=8))
     assert len(two_step) == 64
 
 
 def test_build_dictionary_budget():
     with pytest.raises(BudgetError, match="budget"):
-        build_dictionary(DictionarySpec(step=2, freq_resolution=64, budget=100), W)
+        build_dictionary(DictionarySpec(step=2, freq_resolution=64, budget=100))
 
 
 def test_build_dictionary_brackets():
     spec = DictionarySpec(step=2, freq_resolution=4, include_brackets=True,
                           budget=64)
-    d = build_dictionary(spec, W)
+    d = build_dictionary(spec)
     assert len(d) == 16 + 4 * 3
 
 
 def test_project_recovers_exact_member():
     target = grid_atom(3, 16)
-    d = build_dictionary(DictionarySpec(step=1, freq_resolution=16), W)
-    y0, coeffs = project_and_clip(target, d, W.length, ridge=1e-12)
+    d = build_dictionary(DictionarySpec(step=1, freq_resolution=16))
+    coeffs, combo, _ = _solve_projection(target, atom_matrix(d, W), 1e-12)
+    y0 = Signal(W, clip_to_unit_disk(combo), 1.0)
     assert abs(coeffs[3] - 1.0) < 1e-9
     others = np.delete(np.abs(coeffs), 3)
     assert np.max(others) < 1e-9
@@ -81,13 +81,13 @@ def test_project_recovers_exact_member():
 
 def test_clipping_of_overscaled_member():
     target = grid_atom(5, 16).scale(1.5)
-    d = build_dictionary(DictionarySpec(step=1, freq_resolution=16), W)
+    spec = DictionarySpec(step=1, freq_resolution=16, ridge=0.0)
     with pytest.raises(ValueError, match="sup-norm"):
-        project_and_clip(target, d, W.length, ridge=0.0)
-    y0, coeffs = project_and_clip(target, d, W.length, ridge=0.0,
-                                  enforce_bound=False)
+        decompose(target, 0.5, spec, GowersParams(order=2, shift_count=16))
+    coeffs, combo, _ = _solve_projection(
+        target, atom_matrix(build_dictionary(spec), W), 0.0)
     assert abs(coeffs[5] - 1.5) < 1e-9
-    assert np.max(np.abs(np.abs(y0.values) - 1.0)) < 1e-12
+    assert np.max(np.abs(np.abs(clip_to_unit_disk(combo)) - 1.0)) < 1e-12
 
 
 def test_projection_with_noise_recovers_coefficient():
@@ -96,9 +96,8 @@ def test_projection_with_noise_recovers_coefficient():
     noisy = Signal(
         W, atom.values + 0.1 * np.exp(2j * np.pi * rng.random(W.length))
     )
-    d = build_dictionary(DictionarySpec(step=1, freq_resolution=16), W)
-    _, coeffs = project_and_clip(noisy, d, W.length, ridge=1e-10,
-                                 enforce_bound=False)
+    d = build_dictionary(DictionarySpec(step=1, freq_resolution=16))
+    coeffs, _, _ = _solve_projection(noisy, atom_matrix(d, W), 1e-10)
     assert abs(coeffs[7] - 1.0) < 0.01
 
 
@@ -106,11 +105,11 @@ def test_singular_gram_requires_ridge():
     # four distinct frequencies restricted to two points: rank-deficient
     w2 = Window(0, 2)
     atoms = tuple(PolynomialPhase((0.0, j / 4)) for j in range(4))
-    d = Dictionary(atoms)
+    psi = atom_matrix(Dictionary(atoms), w2)
     target = Signal(w2, np.ones(2, dtype=complex), 1.0)
     with pytest.raises(ValueError, match="ridge"):
-        project_and_clip(target, d, 2, ridge=0.0)
-    project_and_clip(target, d, 2, ridge=1e-6)  # regularized solve succeeds
+        _solve_projection(target, psi, 0.0)
+    _solve_projection(target, psi, 1e-6)  # regularized solve succeeds
 
 
 def _unimodular(w: Window, seed: int) -> Signal:
@@ -126,7 +125,7 @@ def _unimodular(w: Window, seed: int) -> Signal:
                    degrees=(1,), include_brackets=True),
 ])
 def test_gram_of_one_block_is_the_full_product(spec):
-    psi = atom_matrix(build_dictionary(spec, W), W)
+    psi = atom_matrix(build_dictionary(spec), W)
     assert len(psi) <= GRAM_ROWS
     _, _, gram = _solve_projection(_unimodular(W, 3), psi, 1e-8)
     assert np.array_equal(gram, np.conj(psi) @ psi.T / W.length)
@@ -136,7 +135,7 @@ def test_blocked_gram_is_exactly_hermitian():
     # (isqrt(R) + 2)^2 atoms, between R = GRAM_ROWS and 2R: two row blocks,
     # the last one partial (169 atoms at R = 128)
     spec = DictionarySpec(step=2, freq_resolution=math.isqrt(GRAM_ROWS) + 2)
-    psi = atom_matrix(build_dictionary(spec, W), W)
+    psi = atom_matrix(build_dictionary(spec), W)
     assert GRAM_ROWS < len(psi) < 2 * GRAM_ROWS
     target = _unimodular(W, 4)
     _, _, gram = _solve_projection(target, psi, 1e-8)
@@ -172,7 +171,7 @@ def _gram_oracle(a: Signal, psi: np.ndarray, ridge: float, rows: int = 256):
 def test_threaded_gram_matches_sequential_oracle(spec, length, cpus,
                                                  monkeypatch):
     w = Window(0, length)
-    psi = atom_matrix(build_dictionary(spec, w), w)
+    psi = atom_matrix(build_dictionary(spec), w)
     target, ridge = _unimodular(w, 5), spec.resolved_ridge(len(psi))
     monkeypatch.setattr(decomposition, "_blas_threads", lambda: 1)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
@@ -241,7 +240,7 @@ def test_clip_contraction_pointwise(a, v):
 def test_decompose_exact_additivity_and_flags():
     target = grid_atom(9, 16)
     spec = DictionarySpec(step=1, freq_resolution=16, ridge=0.0)
-    rep = decompose(target, 2, 1e-3, spec, GowersParams(order=2, shift_count=16))
+    rep = decompose(target, 1e-3, spec, GowersParams(order=2, shift_count=16))
     assert np.max(np.abs((rep.a_st.values + rep.a_er.values) - target.values)) < 1e-9
     assert rep.err2 <= 1e-9
     assert rep.err2_within_epsilon
@@ -258,7 +257,7 @@ def test_decompose_spike_density():
     vals[5000] = 1.0
     spike = Signal(w, vals, 1.0)
     spec = DictionarySpec(step=1, freq_resolution=4, ridge=0.0)
-    rep = decompose(spike, 2, 0.5, spec, GowersParams(order=2, shift_count=32))
+    rep = decompose(spike, 0.5, spec, GowersParams(order=2, shift_count=32))
     assert density_seminorm(rep.a_st, w.length) < 1e-3
     assert rep.err2 == pytest.approx(1e-4, rel=0.05)
 
@@ -268,7 +267,7 @@ def test_decompose_noise_err2_near_one():
     w = Window(0, 4096)
     noise = Signal(w, np.exp(2j * np.pi * rng.random(4096)), 1.0)
     spec = DictionarySpec(step=1, freq_resolution=16, ridge=0.0)
-    rep = decompose(noise, 2, 0.5, spec, GowersParams(order=2, shift_count=64))
+    rep = decompose(noise, 0.5, spec, GowersParams(order=2, shift_count=64))
     assert abs(rep.err2 - 1.0) < 0.05
     assert not rep.err2_within_epsilon
 
@@ -276,9 +275,8 @@ def test_decompose_noise_err2_near_one():
 def test_residual_orthogonality_normal_equations():
     rng = np.random.default_rng(14)
     target = Signal(W, 0.9 * np.exp(2j * np.pi * rng.random(W.length)), 0.9)
-    d = build_dictionary(DictionarySpec(step=1, freq_resolution=8), W)
-    y0, coeffs = project_and_clip(target, d, W.length, ridge=0.0)
-    psi = atom_matrix(d, W)
+    psi = atom_matrix(build_dictionary(DictionarySpec(step=1, freq_resolution=8)), W)
+    coeffs, _, _ = _solve_projection(target, psi, 0.0)
     residual = Signal(W, target.values - coeffs @ psi)
     for row in psi:
         assert abs(inner_product(residual, Signal(W, row), W.length)) < 1e-8
@@ -287,12 +285,12 @@ def test_residual_orthogonality_normal_equations():
 def test_enlarging_dictionary_never_hurts():
     rng = np.random.default_rng(15)
     target = Signal(W, 0.8 * np.exp(2j * np.pi * rng.random(W.length)), 0.8)
-    small = build_dictionary(DictionarySpec(step=1, freq_resolution=4), W)
-    large = build_dictionary(DictionarySpec(step=1, freq_resolution=8), W)
+    small = build_dictionary(DictionarySpec(step=1, freq_resolution=4))
+    large = build_dictionary(DictionarySpec(step=1, freq_resolution=8))
     # freq grids nest: {j/4} is a subset of {j/8}
     def unclipped_residual(dictionary):
         psi = atom_matrix(dictionary, W)
-        _, coeffs = project_and_clip(target, dictionary, W.length, ridge=0.0)
+        coeffs, _, _ = _solve_projection(target, psi, 0.0)
         return density_seminorm(Signal(W, target.values - coeffs @ psi), W.length)
 
     assert unclipped_residual(large) <= unclipped_residual(small) + 1e-12
@@ -302,7 +300,7 @@ def test_decompose_off_grid_bounded_by_single_atom_projection():
     delta = 0.3172                      # off the 16-point grid
     target = eval_nilsequence(PolynomialPhase((0.0, delta)), W)
     spec = DictionarySpec(step=1, freq_resolution=16, ridge=0.0)
-    rep = decompose(target, 2, 0.9, spec, GowersParams(order=2, shift_count=16))
+    rep = decompose(target, 0.9, spec, GowersParams(order=2, shift_count=16))
     # independent oracle: projecting on the best single atom leaves
     # 1 - |geometric mean|^2
     best = 1.0
@@ -452,7 +450,7 @@ def test_grid_dictionary_matches_per_atom_oracle(spec_args, brackets, w, seed):
     step, degrees, q = spec_args
     spec = DictionarySpec(step=step, degrees=degrees, freq_resolution=q,
                           include_brackets=brackets and step >= 2)
-    dictionary = build_dictionary(spec, w)
+    dictionary = build_dictionary(spec)
     psi = atom_matrix(dictionary, w)
     expected = np.array([_atom_row(atom, w) for atom in dictionary.atoms])
     assert np.array_equal(psi, expected)  # bit for bit
@@ -463,7 +461,7 @@ def test_grid_dictionary_matches_per_atom_oracle(spec_args, brackets, w, seed):
         return
     rng = np.random.default_rng(seed)
     target = Signal(w, np.exp(2j * np.pi * rng.random(w.length)), 1.0)
-    rep = decompose(target, 2, 0.5, spec, GowersParams(order=2, shift_count=3))
+    rep = decompose(target, 0.5, spec, GowersParams(order=2, shift_count=3))
     slow = _worst_atom_per_row(rep.a_er, psi)
     scale = max(slow, float(np.mean(np.abs(rep.a_er.values))))
     assert abs(rep.max_atom_correlation - slow) <= 1e-12 * scale
@@ -474,8 +472,8 @@ def test_worst_atom_correlation_of_an_exact_member():
     # worst correlation must still agree at the scale of that noise
     target = grid_atom(3, 8)
     spec = DictionarySpec(step=1, freq_resolution=8, ridge=0.0)
-    rep = decompose(target, 2, 0.5, spec, GowersParams(order=2, shift_count=8))
-    slow = _worst_atom_per_row(rep.a_er, atom_matrix(build_dictionary(spec, W), W))
+    rep = decompose(target, 0.5, spec, GowersParams(order=2, shift_count=8))
+    slow = _worst_atom_per_row(rep.a_er, atom_matrix(build_dictionary(spec), W))
     assert rep.max_atom_correlation < 1e-12
     assert abs(rep.max_atom_correlation - slow) <= 1e-12 * max(
         slow, float(np.mean(np.abs(rep.a_er.values))))

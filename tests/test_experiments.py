@@ -25,9 +25,7 @@ from nilseqlab import (
     density_seminorm,
     eval_nilsequence,
     run_experiment,
-    signal_from,
     subsequence_average,
-    window_mean,
 )
 from nilseqlab import experiments
 from nilseqlab.cli import main as cli_main
@@ -135,7 +133,7 @@ def test_spike_outside_window_rejected():
 
 def test_subsequence_even_indices_of_alternating():
     w = Window(0, 300)
-    alt = signal_from(lambda ns: np.where(ns % 2 == 0, 1.0, -1.0), w)
+    alt = Signal(w, np.where(w.indices() % 2 == 0, 1.0, -1.0))
     table = subsequence_average(alt, SubsequenceSpec("arithmetic", q=2),
                                 checkpoints=[10, 50, 100])
     assert all(v == 1.0 for v in table.averages)
@@ -148,13 +146,13 @@ def test_subsequence_identity_matches_window_mean():
     sig = Signal(w, rng.normal(size=200) + 1j * rng.normal(size=200))
     table = subsequence_average(sig, SubsequenceSpec("identity"),
                                 checkpoints=[40])
-    expected = window_mean(sig.restrict(Window(1, 41)))
+    expected = np.mean(sig.restrict(Window(1, 41)).values)
     assert table.averages[0] == pytest.approx(expected, abs=1e-12)
 
 
 def test_subsequence_alternating_identity_values():
     w = Window(0, 64)
-    alt = signal_from(lambda ns: np.where(ns % 2 == 0, 1.0, -1.0), w)
+    alt = Signal(w, np.where(w.indices() % 2 == 0, 1.0, -1.0))
     table = subsequence_average(alt, SubsequenceSpec("identity"),
                                 checkpoints=[9, 10])
     # averages of (-1)^n from n=1: -1/N for odd N, 0 for even N
@@ -667,6 +665,9 @@ def test_cli_non_object_value_exit_2(kind, field, value, tmp_path, capsys):
     ("gowers", {"H": -3}, "H"),
     ("decompose", {"H": 0}, "H"),
     ("anti-uniformity", {"H": 0}, "H"),
+    # a dictionary of no degrees, refused at load rather than by decompose
+    ("decompose", {"dictionary": {"step": 2, "Q": 4, "degrees": []}},
+     "dictionary"),
 ])
 def test_cli_bad_param_value_exit_2(kind, overrides, field, tmp_path, capsys):
     params, end = KIND_CONFIGS[kind]
@@ -675,17 +676,36 @@ def test_cli_bad_param_value_exit_2(kind, overrides, field, tmp_path, capsys):
     assert f"params.{field}" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("kind", ["gowers", "decompose"])
-def test_cli_non_finite_csv_sample_exit_2(kind, tmp_path, capsys):
-    path = tmp_path / "target.csv"
+def _csv_rows(row5: str) -> str:
     rows = [f"{n},1.0,0.0" for n in range(64)]
-    rows[5] = "5,nan,0.0"
-    path.write_text("n,re,im\n" + "\n".join(rows) + "\n")
+    rows[5] = row5
+    return "n,re,im\n" + "\n".join(rows) + "\n"
+
+
+# csv targets that read_csv refuses: (text, message)
+BAD_CSVS = {
+    "non-finite": (_csv_rows("5,nan,0.0"), "CSV value at n=5 is not finite"),
+    "two-fields": (_csv_rows("5,1.0"), "CSV line 7: expected n,re,im, got 2"),
+    "blank-line": (_csv_rows(""), "CSV line 7: expected n,re,im, got 0"),
+    "empty": ("", "CSV line 1: header [] is not n,re,im"),
+}
+
+
+@pytest.mark.parametrize("kind,defect", [
+    pytest.param("gowers", "non-finite", id="gowers"),
+    pytest.param("decompose", "non-finite", id="decompose"),
+    *(pytest.param("gowers", d, id=f"gowers-{d}")
+      for d in ("two-fields", "blank-line", "empty")),
+])
+def test_cli_non_finite_csv_sample_exit_2(kind, defect, tmp_path, capsys):
+    text, message = BAD_CSVS[defect]
+    path = tmp_path / "target.csv"
+    path.write_text(text)
     params, end = KIND_CONFIGS[kind]
     target = {"kind": "csv", "path": str(path)}
     raw = base_config(kind, dict(params, target=target), end=end)
     assert run_cli(tmp_path, raw) == 2
-    assert "params.target: CSV value at n=5 is not finite" in capsys.readouterr().err
+    assert f"params.target: {message}" in capsys.readouterr().err
 
 
 def test_cli_decompose_unbounded_csv_target_exit_2(tmp_path, capsys):
@@ -699,6 +719,7 @@ def test_cli_decompose_unbounded_csv_target_exit_2(tmp_path, capsys):
                       end=end)
     assert run_cli(tmp_path, raw) == 2
     assert "params.target: signal sup-norm 1.5 exceeds 1" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()  # a refused run makes no --out
 
 
 @pytest.mark.parametrize("descriptor", ["pipe", "stdout"])

@@ -12,16 +12,15 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from nilseqlab import (
+    GowersParams,
     Signal,
     Window,
     constant_signal,
     density_seminorm,
+    ghk_seminorm,
     inner_product,
     multiplicative_derivative,
     read_csv,
-    signal_from,
-    uniform_cesaro_mean,
-    window_mean,
     write_csv,
 )
 from nilseqlab.signals import CSV_ROWS
@@ -30,11 +29,17 @@ TOL = 1e-9
 
 
 def linear_phase(alpha: float, window: Window, theta: float = 0.0) -> Signal:
-    return signal_from(
-        lambda ns: np.exp(2j * np.pi * np.mod(alpha * ns + theta, 1.0)),
-        window,
-        1.0,
-    )
+    ns = window.indices()
+    return Signal(window, np.exp(2j * np.pi * np.mod(alpha * ns + theta, 1.0)), 1.0)
+
+
+def alternating(window: Window) -> Signal:
+    return Signal(window, np.where(window.indices() % 2 == 0, 1.0, -1.0))
+
+
+def cesaro(a: Signal, scale: int) -> float:
+    """The worst absolute subwindow mean: the order-1 seminorm."""
+    return ghk_seminorm(a, GowersParams(order=1, scale=scale)).value
 
 
 def test_window_basics():
@@ -66,30 +71,21 @@ def test_signal_values_immutable():
         sig.values[0] = 0.0
 
 
-def test_window_mean_examples():
-    assert window_mean(constant_signal(1.0, Window(0, 100))) == 1.0
-    alt = signal_from(lambda ns: np.where(ns % 2 == 0, 1.0, -1.0), Window(0, 100))
-    assert window_mean(alt) == 0.0
-    full_periods = linear_phase(0.25, Window(0, 8))
-    assert abs(window_mean(full_periods)) < 1e-15
-
-
 def test_uniform_cesaro_examples():
-    assert uniform_cesaro_mean(constant_signal(0.5j, Window(0, 1000)), 64) == pytest.approx(0.5)
-    alt = signal_from(lambda ns: np.where(ns % 2 == 0, 1.0, -1.0), Window(0, 10**4))
-    assert uniform_cesaro_mean(alt, 100) == 0.0
+    assert cesaro(constant_signal(0.5j, Window(0, 1000)), 64) == pytest.approx(0.5)
+    assert cesaro(alternating(Window(0, 10**4)), 100) == 0.0
     spike = np.zeros(10**4, dtype=complex)
     spike[50] = 1.0
-    assert uniform_cesaro_mean(Signal(Window(0, 10**4), spike), 100) == pytest.approx(0.01)
-    with pytest.raises(ValueError, match="scale too large"):
-        uniform_cesaro_mean(constant_signal(1.0, Window(0, 8)), 9)
+    assert cesaro(Signal(Window(0, 10**4), spike), 100) == pytest.approx(0.01)
+    with pytest.raises(ValueError, match="insufficient window"):
+        cesaro(constant_signal(1.0, Window(0, 8)), 9)
 
 
 def test_density_seminorm_examples():
     w = Window(0, 10**4)
     unimodular = linear_phase(0.123, w)
     assert density_seminorm(unimodular, 500) == pytest.approx(1.0)
-    tens = signal_from(lambda ns: np.where(ns % 10 == 0, 1.0, 0.0), w)
+    tens = Signal(w, np.where(w.indices() % 10 == 0, 1.0, 0.0))
     assert density_seminorm(tens, 10**4) == pytest.approx(np.sqrt(0.1))
     spike = np.zeros(10**4, dtype=complex)
     spike[123] = 1.0
@@ -101,8 +97,7 @@ def test_inner_product_examples():
     a = linear_phase(0.37, w)
     assert inner_product(a, a, 100) == pytest.approx(1.0)
     one = constant_signal(1.0, Window(0, 100))
-    alt = signal_from(lambda ns: np.where(ns % 2 == 0, 1.0, -1.0), Window(0, 100))
-    assert inner_product(one, alt, 100) == 0.0
+    assert inner_product(one, alternating(Window(0, 100)), 100) == 0.0
 
 
 def test_inner_product_geometric_bound():
@@ -143,7 +138,7 @@ def test_multiplicative_derivative_quadratic_phase():
     gamma, h = 0.1328125, 5  # dyadic, exact in float
     w = Window(0, 300)
     ns = w.indices()
-    a = signal_from(lambda m: np.exp(2j * np.pi * np.mod(gamma * m * m, 1.0)), w)
+    a = Signal(w, np.exp(2j * np.pi * np.mod(gamma * ns * ns, 1.0)))
     d = multiplicative_derivative(a, h)
     expected = np.exp(
         2j * np.pi * np.mod(gamma * (2 * h * ns[:-h] + h * h) % 1.0, 1.0)
@@ -166,18 +161,6 @@ complex_list = st.lists(
     min_size=2,
     max_size=40,
 )
-
-
-@settings(max_examples=60, deadline=None)
-@given(complex_list, complex_list)
-def test_window_mean_additive(xs, ys):
-    n = min(len(xs), len(ys))
-    w = Window(0, n)
-    a = Signal(w, np.array(xs[:n]))
-    b = Signal(w, np.array(ys[:n]))
-    assert window_mean(a + b) == pytest.approx(
-        window_mean(a) + window_mean(b), abs=1e-12
-    )
 
 
 @settings(max_examples=60, deadline=None)
@@ -218,7 +201,7 @@ def test_uniform_cesaro_bounded_by_sup():
     vals = rng.normal(size=200) + 1j * rng.normal(size=200)
     a = Signal(Window(0, 200), vals)
     for L in (1, 7, 50, 200):
-        assert uniform_cesaro_mean(a, L) <= a.sup_norm + 1e-12
+        assert cesaro(a, L) <= a.sup_norm + 1e-12
 
 
 def test_density_zero_iff_zero_at_full_window():
