@@ -14,6 +14,7 @@ from __future__ import annotations
 import ctypes
 import itertools
 import os
+import queue
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Tuple, Union
@@ -140,36 +141,47 @@ def _gram_workers(blocks: int) -> int:
 
 def _solve_projection(a: Signal, psi: np.ndarray, ridge: float):
     """Coefficients, their combination and the exactly Hermitian Gram, whose
-    row blocks run on :func:`_gram_workers`: the same floats for any count."""
+    row blocks run on :func:`_gram_workers`: the same floats for any count.
+    Beside the Gram it allocates a conjugate row block per worker, and adds
+    the ridge to the Gram's diagonal in place: only LAPACK copies the Gram."""
     n, m = a.window.length, len(psi)
     gram, rhs = np.empty((m, m), dtype=complex), np.empty(m, dtype=complex)
-    def block(i: int) -> None:  # on a worker: call nothing perfbench traces
-        conj = np.conj(psi[i:i + GRAM_ROWS])  # this block's rows only
-        gram[i:i + GRAM_ROWS, i:] = conj @ psi[i:].T / n  # releases the GIL
-        rhs[i:i + GRAM_ROWS] = conj @ a.values / n
     starts = range(0, m, GRAM_ROWS)
     workers = _gram_workers(len(starts))
+    buffers = queue.SimpleQueue()  # never waited on: at most workers run
+    for _ in range(workers):
+        buffers.put(np.empty((min(m, GRAM_ROWS), n), dtype=complex))
+    def block(i: int) -> None:  # on a worker: call nothing perfbench traces
+        buffer, rows = buffers.get(), gram[i:i + GRAM_ROWS, i:]
+        try:
+            conj = np.conj(psi[i:i + GRAM_ROWS], out=buffer[:len(rows)])
+            np.matmul(conj, psi[i:].T, out=rows)  # releases the GIL
+            rows /= n
+            rhs[i:i + GRAM_ROWS] = conj @ a.values / n
+        finally:
+            buffers.put(buffer)
     with ThreadPoolExecutor(workers) as pool:  # one worker: inline, no thread
         list((pool.map if workers > 1 else map)(block, starts))
+    del buffers  # their memory goes back before the solve
     # mirror the upper triangle: a product alone is not bitwise Hermitian
     np.copyto(gram, np.conj(gram).T, where=np.tri(m, k=-1, dtype=bool))
     np.fill_diagonal(gram, gram.diagonal().real)
-    system = gram + ridge * np.eye(len(psi))
+    diagonal = gram.diagonal().copy()
+    gram += 0.0  # as in gram + ridge * I, whose sum turns -0.0 into +0.0
+    gram.flat[::m + 1] += ridge  # the solve's system, formed in place
     singular_msg = "Gram matrix is singular; pass a ridge parameter > 0"
-    if ridge == 0.0:
-        # rounding hides exact rank deficiency from the LU solver; the
-        # Cholesky pivots of the positive semidefinite Gram expose it
-        try:
-            chol = np.linalg.cholesky(system)
-        except np.linalg.LinAlgError as exc:
-            raise ValueError(singular_msg) from exc
-        pivots = np.diagonal(chol).real ** 2
-        if float(np.min(pivots)) < _SINGULAR_RTOL * float(np.max(pivots)):
-            raise ValueError(singular_msg)
     try:
-        coeffs = np.linalg.solve(system, rhs)
+        if ridge == 0.0:
+            # rounding hides exact rank deficiency from the LU solver; the
+            # Cholesky pivots of the positive semidefinite Gram expose it
+            pivots = np.diagonal(np.linalg.cholesky(gram)).real ** 2
+            if float(np.min(pivots)) < _SINGULAR_RTOL * float(np.max(pivots)):
+                raise ValueError(singular_msg)
+        coeffs = np.linalg.solve(gram, rhs)
     except np.linalg.LinAlgError as exc:
         raise ValueError(singular_msg) from exc
+    finally:
+        gram.flat[::m + 1] = diagonal
     return coeffs, coeffs @ psi, gram
 
 
@@ -226,7 +238,8 @@ def decompose(a: Signal, epsilon: float, spec: DictionarySpec,
     are the same floats whatever the order of the atoms (see
     :func:`atom_rows`) and the number of Gram threads; the ridge solve of a
     rank-deficient dictionary moves its coefficients by about 1e-6 when the
-    Gram changes in the last bit.
+    Gram changes in the last bit.  Beside the atom matrix and the Gram, the
+    solve allocates one row block per Gram thread, and LAPACK a Gram copy.
     The worst atom correlation is one matrix-vector product, which sums in
     a different order than a per-atom mean and so agrees with it to about
     1e-16 relative.

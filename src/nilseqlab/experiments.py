@@ -802,11 +802,12 @@ class RunResult:
 def run_experiment(cfg: ExperimentConfig) -> RunResult:
     """Execute one experiment; artifacts land in the output directory.
 
-    A miss writes each artifact and the manifest once, into a private stage
-    directory.  With caching enabled the stage is made under the cache root
-    and renamed to become the entry for the config hash, which a rerun
-    replays byte-identically; the output directory gets copies.  It is
-    made only then, so a run refused on its built signals leaves none.
+    A miss writes each artifact and the manifest once: straight into the
+    output directory with caching disabled, else into a private stage
+    directory under the cache root, renamed to become the entry for the
+    config hash, which a rerun replays byte-identically, and copied out.
+    The output directory is made only after the kind has run, so a run
+    refused on its config or its built signals leaves none.
     """
     out_dir = Path(cfg.out_dir) if cfg.out_dir else Path.cwd()
     digest = cfg.digest()
@@ -828,10 +829,11 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"params.{name}: {exc}") from exc
     artifacts = KINDS[cfg.kind].run(cfg, *signals, **cfg.args)
-    root = cached.parent if cfg.use_cache else None
-    if root is not None:
-        root.mkdir(parents=True, exist_ok=True)
-    stage = Path(tempfile.mkdtemp(prefix="stage-", dir=root))
+    out_dir.mkdir(parents=True, exist_ok=True)
+    stage = out_dir  # without the cache each artifact is written once, here
+    if cfg.use_cache:
+        cached.parent.mkdir(parents=True, exist_ok=True)
+        stage = Path(tempfile.mkdtemp(prefix="stage-", dir=cached.parent))
     try:
         for name, payload in artifacts.items():
             _write_artifact(stage / name, payload)
@@ -847,14 +849,14 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
             "wall_time_s": round(time.perf_counter() - started, 6),
         }
         _write_artifact(stage / "manifest.json", manifest)
-        names = sorted(p.name for p in stage.iterdir())
+        names = sorted([*artifacts, "manifest.json"])
         if cfg.use_cache:  # on OSError a concurrent run won; serve its bytes
             with contextlib.suppress(OSError):
                 os.replace(stage, cached)
-        source = cached if cfg.use_cache and cached.is_dir() else stage
-        out_dir.mkdir(parents=True, exist_ok=True)
-        for name in names:
-            shutil.copyfile(source / name, out_dir / name)
+            source = cached if cached.is_dir() else stage
+            for name in names:
+                shutil.copyfile(source / name, out_dir / name)
     finally:
-        shutil.rmtree(stage, ignore_errors=True)
+        if cfg.use_cache:
+            shutil.rmtree(stage, ignore_errors=True)
     return RunResult(digest, out_dir, tuple(names), cache_hit=False)

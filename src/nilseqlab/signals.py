@@ -209,14 +209,17 @@ def read_csv(path) -> Signal:
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, [])  # an empty file has no header
-        if header[:3] != ["n", "re", "im"]:
+        if header != ["n", "re", "im"]:
             raise ValueError(f"CSV line 1: header {header!r} is not n,re,im")
         for row in reader:
-            if len(row) < 3:
+            if len(row) != 3:
                 raise ValueError(f"CSV line {reader.line_num}: expected n,re,im, "
                                  f"got {len(row)} fields")
-            ns.append(int(row[0]))
-            vals.append(complex(float(row[1]), float(row[2])))
+            try:
+                ns.append(int(row[0]))
+                vals.append(complex(float(row[1]), float(row[2])))
+            except ValueError as exc:
+                raise ValueError(f"CSV line {reader.line_num}: {exc}") from exc
     if not ns:
         raise ValueError("CSV contains no samples")
     start, end = ns[0], ns[-1] + 1

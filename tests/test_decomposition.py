@@ -183,8 +183,45 @@ def test_threaded_gram_matches_sequential_oracle(spec, length, cpus,
     finally:
         sys.setswitchinterval(interval)
     assert threading.active_count() == threads  # no worker outlives the call
-    for value, expected in zip(got, _gram_oracle(target, psi, ridge)):
-        assert np.array_equal(value, expected)
+    expected = _gram_oracle(target, psi, ridge)
+    for value, oracle in zip(got[:2], expected):  # signed zeros count
+        assert np.array_equal(value.view(np.uint64), oracle.view(np.uint64))
+    assert np.array_equal(got[2], expected[2])
+    # the diagonal formed, not the one the solve added the ridge to
+    assert np.array_equal(got[2].diagonal().copy().view(np.uint64),
+                          expected[2].diagonal().copy().view(np.uint64))
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                    reason="reads the peak RSS (VmHWM) from /proc")
+@pytest.mark.parametrize("blas", [1, 0], ids=["workers", "inline"])
+def test_step2_decompose_peak_memory(blas):
+    """One step-2 Q=32 decompose on [0, 4096) holds the 1,024-atom matrix
+    (64 MB), the Gram and LAPACK's copy of it (16 MB each) and the mirror's
+    conjugate (16 MB): its peak RSS rises by at most 110 MB, whether the
+    Gram's row blocks run on workers or inline.  The peak is the child's
+    VmHWM: its ru_maxrss would start from the RSS of this process, which
+    Linux carries over the exec."""
+    code = (
+        "import re, numpy as np\n"
+        "from nilseqlab import (DictionarySpec, GowersParams, Signal, Window,\n"
+        "                       decompose, decomposition)\n"
+        f"decomposition._blas_threads = lambda: {blas}\n"
+        "w = Window(0, 4096)\n"
+        "rng = np.random.default_rng(1)\n"
+        "a = Signal(w, np.exp(2j * np.pi * rng.random(w.length)), 1.0)\n"
+        "def peak():  # kB\n"
+        "    status = open('/proc/self/status').read()\n"
+        "    return int(re.search(r'VmHWM:\\s*(\\d+)', status).group(1))\n"
+        "before = peak()\n"
+        "decompose(a, 0.5, DictionarySpec(step=2, freq_resolution=32),\n"
+        "          GowersParams(order=2, shift_count=8))\n"
+        "print((peak() - before) / 1024)\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path),
+               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    run = subprocess.run([sys.executable, "-c", code], env=env, text=True,
+                         capture_output=True, timeout=120, check=True)
+    assert float(run.stdout) <= 110
 
 
 @pytest.mark.parametrize("blas,blocks,cpus,workers", [

@@ -688,6 +688,12 @@ BAD_CSVS = {
     "two-fields": (_csv_rows("5,1.0"), "CSV line 7: expected n,re,im, got 2"),
     "blank-line": (_csv_rows(""), "CSV line 7: expected n,re,im, got 0"),
     "empty": ("", "CSV line 1: header [] is not n,re,im"),
+    "non-numeric": (_csv_rows("5,one,0.0"),
+                    "CSV line 7: could not convert string to float: 'one'"),
+    "four-fields": (_csv_rows("5,1.0,0.0,0.0"),
+                    "CSV line 7: expected n,re,im, got 4"),
+    "long-header": ("n,re,im,w" + _csv_rows("5,1.0,0.0")[len("n,re,im"):],
+                    "CSV line 1: header ['n', 're', 'im', 'w'] is not n,re,im"),
 }
 
 
@@ -695,7 +701,7 @@ BAD_CSVS = {
     pytest.param("gowers", "non-finite", id="gowers"),
     pytest.param("decompose", "non-finite", id="decompose"),
     *(pytest.param("gowers", d, id=f"gowers-{d}")
-      for d in ("two-fields", "blank-line", "empty")),
+      for d in BAD_CSVS if d != "non-finite"),
 ])
 def test_cli_non_finite_csv_sample_exit_2(kind, defect, tmp_path, capsys):
     text, message = BAD_CSVS[defect]
@@ -910,12 +916,27 @@ def test_runs_leave_only_cache_entries(tmp_path, capsys, monkeypatch):
 
 
 def test_uncached_run_leaves_nothing_behind(tmp_path, capsys, monkeypatch):
+    """With the cache off each artifact is written once, straight into the
+    output directory: no stage in tempfile's directory and no copy, and the
+    bytes of a cached run."""
     scratch = tmp_path / "tmp"
     scratch.mkdir()
     monkeypatch.setattr(tempfile, "tempdir", str(scratch))
-    params, end = KIND_CONFIGS["gowers"]
-    raw = dict(base_config("gowers", params, end=end), use_cache=False)
-    assert run_cli(tmp_path, raw) == 0
-    assert (tmp_path / "out" / "gowers_report.json").exists()
+    copies = []
+    copyfile = experiments.shutil.copyfile
+    monkeypatch.setattr(experiments.shutil, "copyfile",
+                        lambda src, dst: copies.append(dst) or copyfile(src, dst))
+    params, end = KIND_CONFIGS["decompose"]
+    raw = base_config("decompose", params, end=end)
+    assert run_cli(tmp_path, dict(raw, use_cache=False)) == 0
     assert not (tmp_path / "cache").exists()
-    assert list(scratch.iterdir()) == []
+    assert list(scratch.iterdir()) == [] and copies == []
+    assert run_cli(tmp_path, raw, "cached") == 0
+    outputs = []
+    for out in (tmp_path / "out", tmp_path / "cached"):
+        files = {p.name: p.read_bytes() for p in out.iterdir()}
+        manifest = json.loads(files.pop("manifest.json"))
+        del manifest["wall_time_s"]
+        outputs.append((files, manifest))
+    assert sorted(outputs[0][0]) == ["a_er.csv", "a_st.csv", "decomposition.json"]
+    assert outputs[0] == outputs[1]
