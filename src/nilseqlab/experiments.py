@@ -29,13 +29,13 @@ import numpy as np
 
 from . import __version__
 from .decomposition import DictionarySpec, decompose
-from .errors import ConfigError
+from .errors import BudgetError, ConfigError
 from .nilmanifolds import BracketPhase, PolynomialPhase, eval_nilsequence, torus_interpolate
 from .signals import (Signal, Window, constant_signal, density_seminorm,
                       read_csv, write_csv)
-from .systems import (CLASS_MAX_ELL, AffineToralSystem, CorrelationQuery,
-                      QuadratureSpec, ToralMap, TrigObservable, corpus_generate,
-                      correlate_exact, correlate_numeric)
+from .systems import (CLASS_MAX_ELL, DEFAULT_QUAD_BUDGET, AffineToralSystem,
+                      CorrelationQuery, QuadratureSpec, ToralMap, TrigObservable,
+                      corpus_generate, correlate_exact, correlate_numeric)
 from .uniformity import GowersParams, anti_uniformity_ratio, ghk_seminorm, vdc_defect
 
 CACHE_ENV = "NILSEQLAB_CACHE_DIR"
@@ -61,16 +61,18 @@ def _require_keys(obj: Mapping, allowed: Sequence[str], required: Sequence[str],
             raise ConfigError(f"{where}: missing required field {key!r}")
 
 
-def _config_int(value, where: str) -> int:
-    """An integer from config input: an int or an integral float.  A
-    boolean, a fractional or non-finite number or a string raises
-    ``ConfigError`` instead of being truncated."""
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    if not isinstance(value, bool):
+def _config_int(value, where: str, low: Union[int, None] = None) -> int:
+    """An integer from config input: an int or an integral float, at least
+    ``low`` when given.  A boolean, a fractional or non-finite number or a
+    string raises ``ConfigError`` instead of being truncated."""
+    number = int(value) if isinstance(value, float) and value.is_integer() else None
+    if number is None and not isinstance(value, bool):
         with contextlib.suppress(TypeError):
-            return operator.index(value)
-    raise ConfigError(f"{where}: must be an integer, got {value!r}")
+            number = operator.index(value)
+    if number is None or low is not None and number < low:
+        rule = "" if low is None else f" >= {low}"
+        raise ConfigError(f"{where}: must be an integer{rule}, got {value!r}")
+    return number
 
 
 def _config_real(value, where: str, positive: bool = False,
@@ -96,7 +98,7 @@ class ExperimentKind:
     takes, checked against the window, and returns the runner's keyword
     arguments or raises ``ConfigError`` naming ``where.<field>``; loading a
     config parses it once, into ``ExperimentConfig.args``.  ``run(cfg,
-    *signals, **args)`` maps a config and its built signals to its
+    **args)`` maps a config, its signals (built, by keyword) and args to its
     artifacts, ``{file name: dict (JSON), Signal (CSV) or list of CSV
     rows}``; ``command`` is the CLI spelling when it differs from the kind.
     """
@@ -115,7 +117,7 @@ class ExperimentConfig:
     kind: str
     window: Window
     params: dict  # as written: the digest keys these
-    args: dict    # the runner's keyword arguments, parsed from params at load
+    args: dict    # the runner's keyword arguments, parsed at load (signals: builders)
     seed: int = 0
     out_dir: Union[str, None] = None
     use_cache: bool = True
@@ -152,9 +154,7 @@ def config_from_dict(raw: Mapping, source: str = "<config>") -> ExperimentConfig
         window = Window(start, end)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{source}.window: {exc}") from exc
-    seed = raw.get("seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
-        raise ConfigError(f"{source}.seed: must be a nonnegative integer")
+    seed = _config_int(raw.get("seed", 0), f"{source}.seed", low=0)
     out_dir = raw.get("out_dir")
     if out_dir is not None and not isinstance(out_dir, str):
         raise ConfigError(f"{source}.out_dir: must be a string")
@@ -166,13 +166,13 @@ def config_from_dict(raw: Mapping, source: str = "<config>") -> ExperimentConfig
     _require_keys(raw["params"], spec.required + spec.optional, spec.required,
                   where)
     params = dict(raw["params"])
-    for name in spec.signals:
-        params[name] = validate_signal_spec(params[name], f"{where}.{name}")
+    builders = {name: parse_signal_spec(params[name], window, f"{where}.{name}")
+                for name in spec.signals}
     return ExperimentConfig(
         kind=kind,
         window=window,
         params=params,
-        args=spec.parse(params, window, where),
+        args={**builders, **spec.parse(params, window, where)},
         seed=seed,
         out_dir=out_dir,
         use_cache=use_cache,
@@ -200,106 +200,110 @@ def load_config(path, overrides: Union[Mapping, None] = None) -> ExperimentConfi
 # signal specs (shared mini-language for experiment targets)
 # ---------------------------------------------------------------------------
 
-_SIGNAL_KINDS = {
-    "constant": (("re", "im"), ()),
-    "linear_phase": (("alpha", "theta"), ("alpha",)),
-    "quadratic_phase": (("gamma",), ("gamma",)),
-    "polynomial_phase": (("coefficients",), ("coefficients",)),
-    "bracket_phase": (("quad", "cross", "alpha", "linear"), ()),
-    "alternating": ((), ()),
-    "spike": (("positions", "height"), ("positions",)),
-    "noise": ((), ()),
-    "corpus": (("family", "ell", "index", "count", "variant", "freq_grid",
-                "seed"),
-               ("family", "ell", "index")),
-    "csv": (("path",), ("path",)),
-}
-_SIGNAL_REALS = frozenset(("re", "im", "alpha", "theta", "gamma", "quad",
-                           "cross", "linear", "height", "coefficients"))
+def _config_class(params: Mapping, where: str) -> Tuple[str, int]:
+    family = params["family"]
+    if not isinstance(family, str) or family not in CLASS_MAX_ELL:
+        raise ConfigError(f"{where}.family: must be A, B or C")
+    ell, top = _config_int(params["ell"], f"{where}.ell"), CLASS_MAX_ELL[family]
+    if not 1 <= ell <= top:
+        raise ConfigError(f"{where}.ell: class {family} supports ell in 1..{top}")
+    return family, ell
 
 
-def validate_signal_spec(spec: Mapping, where: str) -> dict:
-    if not isinstance(spec, Mapping):
-        raise ConfigError(f"{where}: signal spec must be an object")
-    if "kind" not in spec:
-        raise ConfigError(f"{where}: signal spec needs a 'kind'")
+def _check_corpus_cells(entries: int, window: Window, where: str) -> None:
+    """``corpus_generate`` builds all its entries before any is read."""
+    if entries * window.length > DEFAULT_QUAD_BUDGET:
+        raise BudgetError(f"{where}: {entries} corpus entries of {window.length} "
+                          f"points exceed the budget of {DEFAULT_QUAD_BUDGET} cells")
+
+
+def parse_signal_spec(spec: Mapping, window: Window,
+                      where: str) -> Callable[[np.random.Generator, int], Signal]:
+    """Read a signal spec, checked against the window, into its builder
+    ``build(rng, seed) -> Signal``; only the builder allocates the window's
+    values.  Random kinds consume the generator; corpus kinds reuse the
+    experiment seed unless the spec pins its own."""
+    if not isinstance(spec, Mapping) or "kind" not in spec:
+        raise ConfigError(f"{where}: signal spec must be an object with a 'kind'")
     kind = spec["kind"]
-    if kind not in _SIGNAL_KINDS:
-        raise ConfigError(f"{where}.kind: unknown signal kind {kind!r}")
-    allowed, required = _SIGNAL_KINDS[kind]
-    _require_keys(
-        {k: v for k, v in spec.items() if k != "kind"},
-        allowed, required, where,
-    )
-    for name in _SIGNAL_REALS.intersection(spec):
-        many = name == "coefficients"
-        if many and not isinstance(spec[name], list):
-            raise ConfigError(f"{where}.{name}: must be a list of numbers")
-        for value in spec[name] if many else [spec[name]]:
-            _config_real(value, f"{where}.{name}", signed=True)
-    if kind == "csv" and not isinstance(spec["path"], str):  # not a descriptor
-        raise ConfigError(f"{where}.path: must be a string, got {spec['path']!r}")
-    return dict(spec)
+    fields = {k: v for k, v in spec.items() if k != "kind"}
 
+    def real(name: str, default: float = 0.0) -> float:
+        return _config_real(spec.get(name, default), f"{where}.{name}", signed=True)
 
-def build_signal(spec: Mapping, window: Window, rng: np.random.Generator,
-                 seed: int = 0) -> Signal:
-    """Materialize a signal spec on a window.
-
-    Random kinds consume the generator; corpus kinds reuse the experiment
-    seed unless the spec pins its own.
-    """
-    kind = spec["kind"]
     if kind == "constant":
-        c = complex(spec.get("re", 1.0), spec.get("im", 0.0))
-        return constant_signal(c, window)
-    if kind == "linear_phase":
-        atom = PolynomialPhase((float(spec.get("theta", 0.0)),
-                                float(spec["alpha"])))
-        return eval_nilsequence(atom, window)
-    if kind == "quadratic_phase":
-        atom = PolynomialPhase((0.0, 0.0, float(spec["gamma"])))
-        return eval_nilsequence(atom, window)
-    if kind == "polynomial_phase":
-        atom = PolynomialPhase(tuple(float(c) for c in spec["coefficients"]))
-        return eval_nilsequence(atom, window)
-    if kind == "bracket_phase":
-        atom = BracketPhase(float(spec.get("quad", 0.0)),
-                            float(spec.get("cross", 0.0)),
-                            float(spec.get("alpha", 0.0)),
-                            float(spec.get("linear", 0.0)))
-        return eval_nilsequence(atom, window)
+        _require_keys(fields, ("re", "im"), (), where)
+        c = complex(real("re", 1.0), real("im"))
+        return lambda rng, seed: constant_signal(c, window)
     if kind == "alternating":
-        return Signal(window, np.where(window.indices() % 2 == 0, 1.0, -1.0), 1.0)
-    if kind == "spike":
-        vals = np.zeros(window.length, dtype=np.complex128)
-        height = float(spec.get("height", 1.0))
-        for pos in spec["positions"]:
-            pos = _config_int(pos, "positions")
-            if not window.contains(pos):
-                raise ConfigError(f"spike position {pos} outside window")
-            vals[pos - window.start] = height
-        return Signal(window, vals, abs(height))
+        _require_keys(fields, (), (), where)
+        return lambda rng, seed: Signal(window, 1 - 2 * (window.indices() % 2), 1.0)
     if kind == "noise":
-        phases = rng.random(window.length)
-        return Signal(window, np.exp(2j * np.pi * phases), 1.0)
+        _require_keys(fields, (), (), where)
+        return lambda rng, seed: Signal(
+            window, np.exp(2j * np.pi * rng.random(window.length)), 1.0)
+    if kind == "spike":
+        _require_keys(fields, ("positions", "height"), ("positions",), where)
+        height, field = real("height", 1.0), f"{where}.positions"
+        if not isinstance(spec["positions"], list):
+            raise ConfigError(f"{field}: must be a list of integers")
+        positions = [_config_int(pos, field) for pos in spec["positions"]]
+        if not all(map(window.contains, positions)):
+            raise ConfigError(f"{field}: a spike position is outside the window")
+        return lambda rng, seed: Signal(window, np.where(
+            np.isin(window.indices(), positions), height, 0.0), abs(height))
     if kind == "corpus":
+        _require_keys(fields, ("family", "ell", "index", "count", "variant",
+                               "freq_grid", "seed"),
+                      ("family", "ell", "index"), where)
+        family, ell = _config_class(spec, where)
+        index = _config_int(spec["index"], f"{where}.index", low=0)
+        if index >= _config_int(spec.get("count", 8), f"{where}.count"):
+            raise ConfigError(f"{where}.index: must be below count")
+        grid = spec.get("freq_grid")
+        grid = None if grid is None else _config_int(grid, f"{where}.freq_grid", low=1)
+        pinned = (_config_int(spec["seed"], f"{where}.seed", low=0)
+                  if "seed" in spec else None)
+        variant = spec.get("variant", "mixed")
+        if variant not in ("mixed", "rotations"):
+            raise ConfigError(f"{where}.variant: must be 'mixed' or 'rotations'")
+        _check_corpus_cells(index + 1, window, f"{where}.index")
         # entry i depends only on the draws before it, so the entries past
         # the index are never drawn
-        idx = _config_int(spec["index"], "index")
-        if not 0 <= idx < _config_int(spec.get("count", 8), "count"):
-            raise ConfigError(f"corpus index {idx} out of range")
-        grid = spec.get("freq_grid")
-        entries = corpus_generate(
-            spec["family"], _config_int(spec["ell"], "ell"),
-            _config_int(spec.get("seed", seed), "seed"), window, count=idx + 1,
-            freq_grid=None if grid is None else _config_int(grid, "freq_grid"),
-            variant=spec.get("variant", "mixed"),
-        )
-        return entries[idx].signal
+        return lambda rng, seed: corpus_generate(
+            family, ell, seed if pinned is None else pinned, window,
+            count=index + 1, freq_grid=grid, variant=variant)[index].signal
     if kind == "csv":
-        return read_csv(spec["path"]).restrict(window)
-    raise ConfigError(f"unknown signal kind {kind!r}")
+        _require_keys(fields, ("path",), ("path",), where)
+        path = spec["path"]
+        if not isinstance(path, str):  # not a descriptor
+            raise ConfigError(f"{where}.path: must be a string, got {path!r}")
+        return lambda rng, seed: read_csv(path).restrict(window)
+    if kind == "linear_phase":
+        _require_keys(fields, ("alpha", "theta"), ("alpha",), where)
+        atom = PolynomialPhase((real("theta"), real("alpha")))
+    elif kind == "quadratic_phase":
+        _require_keys(fields, ("gamma",), ("gamma",), where)
+        atom = PolynomialPhase((0.0, 0.0, real("gamma")))
+    elif kind == "bracket_phase":
+        _require_keys(fields, ("quad", "cross", "alpha", "linear"), (), where)
+        atom = BracketPhase(real("quad"), real("cross"), real("alpha"), real("linear"))
+    elif kind == "polynomial_phase":
+        _require_keys(fields, ("coefficients",), ("coefficients",), where)
+        field, coefficients = f"{where}.coefficients", spec["coefficients"]
+        if not isinstance(coefficients, list) or not 1 <= len(coefficients) <= 4:
+            raise ConfigError(f"{field}: must list 1 to 4 numbers (degree 0..3)")
+        atom = PolynomialPhase(tuple(_config_real(c, field, signed=True)
+                                     for c in coefficients))
+    else:
+        raise ConfigError(f"{where}.kind: unknown signal kind {kind!r}")
+    return lambda rng, seed: eval_nilsequence(atom, window)
+
+
+def build_signal(build: Callable[[np.random.Generator, int], Signal],
+                 rng: np.random.Generator, seed: int) -> Signal:
+    """Materialize a signal through the builder ``parse_signal_spec`` made."""
+    return build(rng, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -550,10 +554,9 @@ def _query_from_params(params: Mapping, where: str) -> CorrelationQuery:
 
 
 def _parse_gowers(params: dict, window: Window, where: str) -> dict:
+    # H >= 1 here, before GowersParams refuses it with a bare ValueError
     H, L = (None if params.get(k) is None
-            else _config_int(params[k], f"{where}.{k}") for k in ("H", "L"))
-    if H is not None and H < 1:  # before GowersParams raises a bare ValueError
-        raise ConfigError(f"{where}.H: must be >= 1")
+            else _config_int(params[k], f"{where}.{k}", low=1) for k in ("H", "L"))
     gowers = GowersParams(_config_int(params["order"], f"{where}.order"),
                           shift_count=H, scale=L)
     try:
@@ -660,11 +663,9 @@ def _run_anti_uniformity(cfg: ExperimentConfig, a: Signal, b: Signal,
 def _parse_interpolate(params: dict, window: Window, where: str) -> dict:
     parsed = {}
     for name, value in params.items():
-        parsed[name] = value = _config_int(value, f"{where}.{name}")
+        parsed[name] = value = _config_int(value, f"{where}.{name}", low=1)
         if name == "ell" and not 2 <= value <= 8:  # as torus_interpolate
             raise ConfigError(f"{where}.ell: must lie in 2..8")
-        if value < 1:
-            raise ConfigError(f"{where}.{name}: must be >= 1")
     return parsed
 
 
@@ -689,21 +690,16 @@ def _run_interpolate_check(cfg: ExperimentConfig, cases: int,
 
 
 def _parse_class_distance(params: dict, window: Window, where: str) -> dict:
-    family = params["family"]
-    if not isinstance(family, str) or family not in CLASS_MAX_ELL:
-        raise ConfigError(f"{where}.family: must be A, B or C")
+    family, ell = _config_class(params, where)
     values = {"L": window.length, "Q": 64, **params}
-    parsed = {"family": family}
-    for name in ("ell", "budget", "L", "Q"):
-        parsed[name] = _config_int(values[name], f"{where}.{name}")
-        if parsed[name] < 1:
-            raise ConfigError(f"{where}.{name}: must be >= 1")
-    top = CLASS_MAX_ELL[family]
-    if parsed["ell"] > top:
-        raise ConfigError(f"{where}.ell: class {family} supports ell in 1..{top}")
+    parsed = {"family": family, "ell": ell}
+    for name in ("budget", "L", "Q"):
+        parsed[name] = _config_int(values[name], f"{where}.{name}", low=1)
     if parsed["L"] > window.length:
         raise ConfigError(f"{where}.L: {parsed['L']} exceeds the window length "
                           f"{window.length}")
+    if family != "A":  # class_distance draws B and C candidates as one list
+        _check_corpus_cells(max(parsed["budget"] - 1, 1), window, f"{where}.budget")
     return parsed
 
 
@@ -806,8 +802,11 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
     output directory with caching disabled, else into a private stage
     directory under the cache root, renamed to become the entry for the
     config hash, which a rerun replays byte-identically, and copied out.
-    The output directory is made only after the kind has run, so a run
-    refused on its config or its built signals leaves none.
+    The output directory is made only after the kind has run, so a refused
+    run leaves none.  Every config check runs at load; after it a run is
+    refused only by a csv read, the decompose sup-norm and ridge checks,
+    numeric aliasing and budget errors, an exhausted subsequence, or a
+    corpus draw the window cannot hold (a class-C skew spike on < 3 points).
     """
     out_dir = Path(cfg.out_dir) if cfg.out_dir else Path.cwd()
     digest = cfg.digest()
@@ -821,14 +820,13 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
 
     started = time.perf_counter()
     rng = np.random.default_rng(cfg.seed)  # one stream, in param order
-    signals = []
+    args = dict(cfg.args)
     for name in KINDS[cfg.kind].signals:
         try:
-            signals.append(build_signal(cfg.params[name], cfg.window, rng,
-                                        seed=cfg.seed))
-        except (TypeError, ValueError) as exc:
+            args[name] = build_signal(args[name], rng, cfg.seed)
+        except ValueError as exc:
             raise ConfigError(f"params.{name}: {exc}") from exc
-    artifacts = KINDS[cfg.kind].run(cfg, *signals, **cfg.args)
+    artifacts = KINDS[cfg.kind].run(cfg, **args)
     out_dir.mkdir(parents=True, exist_ok=True)
     stage = out_dir  # without the cache each artifact is written once, here
     if cfg.use_cache:

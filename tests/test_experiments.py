@@ -9,12 +9,14 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from nilseqlab import (
+    BudgetError,
     ConfigError,
     PolynomialPhase,
     Signal,
@@ -29,7 +31,8 @@ from nilseqlab import (
 )
 from nilseqlab import experiments
 from nilseqlab.cli import main as cli_main
-from nilseqlab.experiments import KINDS, SubsequenceSpec, build_signal, load_config
+from nilseqlab.experiments import (KINDS, SubsequenceSpec, build_signal, load_config,
+                                   parse_signal_spec)
 
 
 @pytest.fixture(autouse=True)
@@ -106,25 +109,44 @@ def test_config_hash_ignores_out_dir():
 def test_build_signal_kinds():
     w = Window(0, 64)
     rng = np.random.default_rng(0)
-    lin = build_signal({"kind": "linear_phase", "alpha": 0.25}, w, rng)
+
+    def build(spec, seed=0):
+        return build_signal(parse_signal_spec(spec, w, "target"), rng, seed)
+
+    lin = build({"kind": "linear_phase", "alpha": 0.25})
     assert np.allclose(lin.values[:4], [1, 1j, -1, -1j], atol=1e-12)
-    alt = build_signal({"kind": "alternating"}, w, rng)
+    alt = build({"kind": "alternating"})
     assert np.allclose(alt.values[:4], [1, -1, 1, -1])
-    spike = build_signal({"kind": "spike", "positions": [3]}, w, rng)
+    spike = build({"kind": "spike", "positions": [3]})
     assert spike.values[3] == 1.0 and np.sum(np.abs(spike.values)) == 1.0
-    noise = build_signal({"kind": "noise"}, w, rng)
+    noise = build({"kind": "noise"})
     assert np.max(np.abs(np.abs(noise.values) - 1.0)) < 1e-12
-    member = build_signal(
-        {"kind": "corpus", "family": "C", "ell": 2, "index": 1}, w, rng, seed=4
-    )
+    member = build({"kind": "corpus", "family": "C", "ell": 2, "index": 1}, seed=4)
     assert member.window == w
 
 
+@pytest.mark.parametrize("target", [
+    {"kind": "noise"},
+    {"kind": "spike", "positions": [5]},
+    {"kind": "corpus", "family": "C", "ell": 2, "index": 0},
+    {"kind": "polynomial_phase", "coefficients": [0.0, 0.5]},
+])
+def test_load_allocates_no_signal(target):
+    """Loading a config, and so serving a cache hit, builds no signal."""
+    raw = base_config("vdc-check", {"target": target, "H": 8}, end=2**20)
+    tracemalloc.start()
+    try:
+        config_from_dict(raw)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20  # one window of complex values takes 16 MiB
+
+
 def test_spike_outside_window_rejected():
-    w = Window(0, 8)
-    with pytest.raises(ConfigError, match="outside window"):
-        build_signal({"kind": "spike", "positions": [99]}, w,
-                     np.random.default_rng(0))
+    with pytest.raises(ConfigError, match="target.positions: .* outside the window"):
+        parse_signal_spec({"kind": "spike", "positions": [99]}, Window(0, 8),
+                          "target")
 
 
 # ---------------------------------------------------------------------------
@@ -513,6 +535,10 @@ def test_cli_non_object_value_exit_2(kind, field, value, tmp_path, capsys):
     assert "must be an object" in capsys.readouterr().err
 
 
+# a valid spec whose built values exceed decompose's sup-norm bound of 1
+UNBOUNDED_TARGET = {"kind": "constant", "re": 2.0}
+
+
 @pytest.mark.parametrize("kind,overrides,field", [
     ("decompose", {"dictionary": {"step": 5, "Q": 8}}, "dictionary"),
     ("decompose", {"dictionary": {"step": 1, "Q": 8, "ridge": -1}}, "dictionary"),
@@ -618,7 +644,7 @@ def test_cli_non_object_value_exit_2(kind, field, value, tmp_path, capsys):
     ("decompose", {"H": 64}, "H"),
     ("anti-uniformity", {"H": 64}, "H"),
     # refusals that need the built target or atoms
-    ("decompose", {"target": {"kind": "constant", "re": 2.0}}, "target"),
+    ("decompose", {"target": UNBOUNDED_TARGET}, "target"),
     ("decompose", {"dictionary": {"step": 2, "Q": 8, "ridge": 0}},
      "dictionary.ridge"),  # rank deficient
     # arithmetic terms q*n + r beyond int64
@@ -668,12 +694,43 @@ def test_cli_non_object_value_exit_2(kind, field, value, tmp_path, capsys):
     # a dictionary of no degrees, refused at load rather than by decompose
     ("decompose", {"dictionary": {"step": 2, "Q": 4, "degrees": []}},
      "dictionary"),
+    # signal specs checked against the window
+    ("gowers", {"target": {"kind": "spike", "positions": [3, 64]}},
+     "target.positions"),
+    ("gowers", {"target": {"kind": "corpus", "family": "B", "ell": 2,
+                           "index": 0, "freq_grid": 0}}, "target.freq_grid"),
+    ("gowers", {"target": {"kind": ["noise"]}}, "target.kind"),  # unhashable
 ])
 def test_cli_bad_param_value_exit_2(kind, overrides, field, tmp_path, capsys):
     params, end = KIND_CONFIGS[kind]
     raw = base_config(kind, dict(params, **overrides), end=end)
+    # a bad signal spec is refused at load; only decompose's sup-norm check
+    # needs the built target
+    if field.split(".")[0] in KINDS[kind].signals \
+            and overrides.get("target") is not UNBOUNDED_TARGET:
+        with pytest.raises(ConfigError, match=rf"<config>\.params\.{field}"):
+            config_from_dict(raw)
     assert run_cli(tmp_path, raw) == 2
     assert f"params.{field}" in capsys.readouterr().err
+
+
+# corpus_generate builds every entry before any is read: index + 1 entries
+# for a corpus target, budget - 1 for class B and C candidates
+@pytest.mark.parametrize("kind,params,end,field", [
+    ("gowers", {"target": {"kind": "corpus", "family": "B", "ell": 2,
+                           "index": 3_000_000, "count": 4_000_000},
+                "order": 2, "H": 2}, 8, "target.index"),
+    ("class-distance", {"target": {"kind": "noise"}, "family": "B", "ell": 2,
+                        "budget": 100_000_000}, 64, "budget"),
+])
+def test_cli_corpus_over_budget_exit_3(kind, params, end, field, tmp_path,
+                                       capsys):
+    raw = base_config(kind, params, end=end)
+    with pytest.raises(BudgetError, match=rf"<config>\.params\.{field}"):
+        config_from_dict(raw)
+    assert run_cli(tmp_path, raw) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("budget error") and f"params.{field}" in err
 
 
 def _csv_rows(row5: str) -> str:
