@@ -707,7 +707,7 @@ def test_cli_bad_param_value_exit_2(kind, overrides, field, tmp_path, capsys):
     # a bad signal spec is refused at load; only decompose's sup-norm check
     # needs the built target
     if field.split(".")[0] in KINDS[kind].signals \
-            and overrides.get("target") is not UNBOUNDED_TARGET:
+            and overrides.get("target") != UNBOUNDED_TARGET:
         with pytest.raises(ConfigError, match=rf"<config>\.params\.{field}"):
             config_from_dict(raw)
     assert run_cli(tmp_path, raw) == 2
