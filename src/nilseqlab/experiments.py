@@ -2,10 +2,10 @@
 
 Every experiment is described by a JSON-compatible config (kind, window,
 per-kind params, seed).  Each kind is one :data:`KINDS` record holding its
-param schema, its runner and its CLI entry.  Results are written as CSV
-tables and JSON reports plus a manifest; the SHA-256 of the canonicalized
-config keys a cache directory, and a rerun with the same config reuses the
-cached artifacts byte for byte.
+param schema, its parser (which turns the params into the kind's runner) and
+its CLI entry.  Results are written as CSV tables and JSON reports plus a
+manifest; the SHA-256 of the canonicalized config keys a cache directory, and
+a rerun with the same config reuses the cached artifacts byte for byte.
 """
 
 from __future__ import annotations
@@ -91,21 +91,20 @@ def _config_real(value, where: str, positive: bool = False,
 
 @dataclass(frozen=True)
 class ExperimentKind:
-    """Schema, parser, runner and CLI entry of one experiment kind.
+    """Schema, parser and CLI entry of one experiment kind.
 
     ``signals`` names the params that hold signal specs.  ``parse(params,
-    window, where)`` reads every other param into the typed value the runner
-    takes, checked against the window, and returns the runner's keyword
-    arguments or raises ``ConfigError`` naming ``where.<field>``; loading a
-    config parses it once, into ``ExperimentConfig.args``.  ``run(cfg,
-    **args)`` maps a config, its signals (built, by keyword) and args to its
-    artifacts, ``{file name: dict (JSON), Signal (CSV) or list of CSV
-    rows}``; ``command`` is the CLI spelling when it differs from the kind.
+    window, where)`` reads every other param, checked against the window, and
+    returns the kind's runner, a closure over the values read, or raises
+    ``ConfigError`` naming ``where.<field>``; loading a config parses it once.
+    The runner ``run(seed, **signals)`` maps the seed and the built signals
+    (by keyword) to the artifacts, ``{file name: dict (JSON), Signal (CSV) or
+    list of CSV rows}``; ``command`` is the CLI spelling when it differs from
+    the kind.
     """
 
     help: str
-    parse: Callable[[dict, Window, str], dict]
-    run: Callable[..., dict]
+    parse: Callable[[dict, Window, str], Callable[..., dict]]
     required: Tuple[str, ...]
     optional: Tuple[str, ...] = ()
     signals: Tuple[str, ...] = ()
@@ -114,10 +113,14 @@ class ExperimentKind:
 
 @dataclass(frozen=True, eq=False)
 class ExperimentConfig:
+    """A loaded config: its params as written (the digest keys these), the
+    builder of each signal param in param order, and the kind's runner."""
+
     kind: str
     window: Window
-    params: dict  # as written: the digest keys these
-    args: dict    # the runner's keyword arguments, parsed at load (signals: builders)
+    params: dict
+    builders: dict
+    run: Callable[..., dict]
     seed: int = 0
     out_dir: Union[str, None] = None
     use_cache: bool = True
@@ -172,7 +175,8 @@ def config_from_dict(raw: Mapping, source: str = "<config>") -> ExperimentConfig
         kind=kind,
         window=window,
         params=params,
-        args={**builders, **spec.parse(params, window, where)},
+        builders=builders,
+        run=spec.parse(params, window, where),
         seed=seed,
         out_dir=out_dir,
         use_cache=use_cache,
@@ -210,10 +214,11 @@ def _config_class(params: Mapping, where: str) -> Tuple[str, int]:
     return family, ell
 
 
-def _check_corpus_cells(entries: int, window: Window, where: str) -> None:
-    """``corpus_generate`` builds all its entries before any is read."""
-    if entries * window.length > DEFAULT_QUAD_BUDGET:
-        raise BudgetError(f"{where}: {entries} corpus entries of {window.length} "
+def _check_cells(signals: int, window: Window, where: str) -> None:
+    """Refuse a run that builds more than ``DEFAULT_QUAD_BUDGET`` cells of
+    signals; ``corpus_generate`` builds all its entries before any is read."""
+    if signals * window.length > DEFAULT_QUAD_BUDGET:
+        raise BudgetError(f"{where}: {signals} signals of {window.length} "
                           f"points exceed the budget of {DEFAULT_QUAD_BUDGET} cells")
 
 
@@ -267,7 +272,7 @@ def parse_signal_spec(spec: Mapping, window: Window,
         variant = spec.get("variant", "mixed")
         if variant not in ("mixed", "rotations"):
             raise ConfigError(f"{where}.variant: must be 'mixed' or 'rotations'")
-        _check_corpus_cells(index + 1, window, f"{where}.index")
+        _check_cells(index + 1, window, f"{where}.index")
         # entry i depends only on the draws before it, so the entries past
         # the index are never drawn
         return lambda rng, seed: corpus_generate(
@@ -553,7 +558,7 @@ def _query_from_params(params: Mapping, where: str) -> CorrelationQuery:
     return query
 
 
-def _parse_gowers(params: dict, window: Window, where: str) -> dict:
+def _gowers_params(params: dict, window: Window, where: str) -> GowersParams:
     # H >= 1 here, before GowersParams refuses it with a bare ValueError
     H, L = (None if params.get(k) is None
             else _config_int(params[k], f"{where}.{k}", low=1) for k in ("H", "L"))
@@ -564,15 +569,16 @@ def _parse_gowers(params: dict, window: Window, where: str) -> dict:
     except ValueError as exc:  # resolve checks H before L
         field = "L" if L is not None and (H or 1) < window.length else "H"
         raise ConfigError(f"{where}.{field}: {exc}") from exc
-    return {"gowers": gowers}
+    return gowers
 
 
-def _run_gowers(cfg: ExperimentConfig, target: Signal,
-                gowers: GowersParams) -> dict:
-    return {"gowers_report.json": ghk_seminorm(target, gowers).to_json_dict()}
+def _parse_gowers(params: dict, window: Window, where: str):
+    gowers = _gowers_params(params, window, where)
+    return lambda seed, target: {
+        "gowers_report.json": ghk_seminorm(target, gowers).to_json_dict()}
 
 
-def _parse_correlate(params: dict, window: Window, where: str) -> dict:
+def _parse_correlate(params: dict, window: Window, where: str):
     engine = params.get("engine", "exact")
     if engine not in ("exact", "numeric"):
         raise ConfigError(f"{where}.engine: must be 'exact' or 'numeric'")
@@ -585,26 +591,23 @@ def _parse_correlate(params: dict, window: Window, where: str) -> dict:
             quadrature = QuadratureSpec(grid)
         except ValueError as exc:
             raise ConfigError(f"{where}.grid: {exc}") from exc
-    return {"query": _query_from_params(params, where), "quadrature": quadrature}
+    query = _query_from_params(params, where)
+
+    def run(seed: int) -> dict:
+        signal = (correlate_exact(query, window) if quadrature is None
+                  else correlate_numeric(query, window, quadrature))
+        return {"correlation.csv": signal,
+                "query.json": {"engine": engine, "window": [window.start, window.end]}}
+    return run
 
 
-def _run_correlate(cfg: ExperimentConfig, query: CorrelationQuery,
-                   quadrature: Union[QuadratureSpec, None]) -> dict:
-    signal = (correlate_exact(query, cfg.window) if quadrature is None
-              else correlate_numeric(query, cfg.window, quadrature))
-    return {"correlation.csv": signal,
-            "query.json": {"engine": "exact" if quadrature is None else "numeric",
-                           "window": [cfg.window.start, cfg.window.end]}}
-
-
-def _parse_decompose(params: dict, window: Window, where: str) -> dict:
-    parsed = _parse_gowers(params, window, where)
+def _parse_decompose(params: dict, window: Window, where: str):
+    gowers = _gowers_params(params, window, where)
     epsilon = _config_real(params["epsilon"], f"{where}.epsilon", positive=True)
     try:  # decompose reports delta = (epsilon/16)^(2^order)
-        (epsilon / 16.0) ** (2 ** parsed["gowers"].order)
+        (epsilon / 16.0) ** (2 ** gowers.order)
     except OverflowError as exc:
         raise ConfigError(f"{where}.epsilon: {epsilon!r} overflows delta") from exc
-    parsed["epsilon"] = epsilon
     where, dic = f"{where}.dictionary", params["dictionary"]
     _require_keys(dic, ("step", "degrees", "Q", "include_brackets", "ridge",
                         "budget"), ("step", "Q"), where)
@@ -613,7 +616,7 @@ def _parse_decompose(params: dict, window: Window, where: str) -> dict:
         if not isinstance(brackets, bool):
             raise ConfigError(f"include_brackets: must be true or false, "
                               f"got {brackets!r}")
-        parsed["dictionary"] = DictionarySpec(
+        dictionary = DictionarySpec(
             step=_config_int(dic["step"], "step"),
             degrees=(tuple(_config_int(k, "degrees") for k in dic["degrees"])
                      if "degrees" in dic else None),
@@ -624,93 +627,80 @@ def _parse_decompose(params: dict, window: Window, where: str) -> dict:
         )
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{where}: {exc}") from exc
-    return parsed
+
+    def run(seed: int, target: Signal) -> dict:
+        try:
+            report = decompose(target, epsilon, dictionary, gowers)
+        except ValueError as exc:  # known only once the target and atoms are built
+            field = "dictionary.ridge" if "Gram" in str(exc) else "target"
+            raise ConfigError(f"params.{field}: {exc}") from exc
+        return {"decomposition.json": report.to_json_dict(),
+                "a_st.csv": report.a_st, "a_er.csv": report.a_er}
+    return run
 
 
-def _run_decompose(cfg: ExperimentConfig, target: Signal, gowers: GowersParams,
-                   epsilon: float, dictionary: DictionarySpec) -> dict:
-    try:
-        report = decompose(target, epsilon, dictionary, gowers)
-    except ValueError as exc:  # known only once the target and atoms are built
-        field = "dictionary.ridge" if "Gram" in str(exc) else "target"
-        raise ConfigError(f"params.{field}: {exc}") from exc
-    return {"decomposition.json": report.to_json_dict(),
-            "a_st.csv": report.a_st, "a_er.csv": report.a_er}
-
-
-def _parse_vdc(params: dict, window: Window, where: str) -> dict:
+def _parse_vdc(params: dict, window: Window, where: str):
     H = _config_int(params["H"], f"{where}.H")
     if not 1 <= H < window.length:
         raise ConfigError(f"{where}.H: must lie in 1..{window.length - 1}")
-    return {"H": H}
+    return lambda seed, target: {"vdc.json": asdict(vdc_defect(target.values, H))}
 
 
-def _run_vdc(cfg: ExperimentConfig, target: Signal, H: int) -> dict:
-    return {"vdc.json": asdict(vdc_defect(target.values, H))}
+def _parse_anti_uniformity(params: dict, window: Window, where: str):
+    gowers = _gowers_params(params, window, where)
+
+    def run(seed: int, a: Signal, b: Signal) -> dict:
+        report = anti_uniformity_ratio(a, b, gowers)
+        return {"anti_uniformity.json": {
+            "correlation": report.correlation,
+            "bound": report.bound,
+            "ratio": None if math.isinf(report.ratio) else report.ratio,
+            "unbounded": report.unbounded,
+        }}
+    return run
 
 
-def _run_anti_uniformity(cfg: ExperimentConfig, a: Signal, b: Signal,
-                         gowers: GowersParams) -> dict:
-    report = anti_uniformity_ratio(a, b, gowers)
-    return {"anti_uniformity.json": {
-        "correlation": report.correlation,
-        "bound": report.bound,
-        "ratio": None if math.isinf(report.ratio) else report.ratio,
-        "unbounded": report.unbounded,
-    }}
+def _parse_interpolate(params: dict, window: Window, where: str):
+    parsed = {name: _config_int(value, f"{where}.{name}", low=1)
+              for name, value in params.items()}
+    if not 2 <= parsed.get("ell", 2) <= 8:  # as torus_interpolate
+        raise ConfigError(f"{where}.ell: must lie in 2..8")
+    ells = [parsed["ell"]] if "ell" in parsed else [2, 3, 4, 5]
+    dims = [parsed["dimension"]] if "dimension" in parsed else [1, 2, 3]
+
+    def run(seed: int) -> dict:
+        rng = np.random.default_rng(seed)
+        worst = 0.0
+        rows = []
+        for i in range(parsed["cases"]):
+            ell, d = ells[i % len(ells)], dims[i % len(dims)]
+            g, h = rng.random(d), rng.random(d)
+            points = [np.mod(i2 * h + g, 1.0) for i2 in range(1, ell + 1)]
+            recovered = torus_interpolate(points)
+            err = float(np.max(np.minimum(np.abs(recovered - g),
+                                          1.0 - np.abs(recovered - g))))
+            worst = max(worst, err)
+            rows.append({"case": i, "ell": ell, "dimension": d, "error": err})
+        return {"interpolation.json": {"cases": rows, "max_error": worst}}
+    return run
 
 
-def _parse_interpolate(params: dict, window: Window, where: str) -> dict:
-    parsed = {}
-    for name, value in params.items():
-        parsed[name] = value = _config_int(value, f"{where}.{name}", low=1)
-        if name == "ell" and not 2 <= value <= 8:  # as torus_interpolate
-            raise ConfigError(f"{where}.ell: must lie in 2..8")
-    return parsed
-
-
-def _run_interpolate_check(cfg: ExperimentConfig, cases: int,
-                           ell: Union[int, None] = None,
-                           dimension: Union[int, None] = None) -> dict:
-    rng = np.random.default_rng(cfg.seed)
-    ells = [2, 3, 4, 5] if ell is None else [ell]
-    dims = [1, 2, 3] if dimension is None else [dimension]
-    worst = 0.0
-    rows = []
-    for i in range(cases):
-        ell, d = ells[i % len(ells)], dims[i % len(dims)]
-        g, h = rng.random(d), rng.random(d)
-        points = [np.mod(i2 * h + g, 1.0) for i2 in range(1, ell + 1)]
-        recovered = torus_interpolate(points)
-        err = float(np.max(np.minimum(np.abs(recovered - g),
-                                      1.0 - np.abs(recovered - g))))
-        worst = max(worst, err)
-        rows.append({"case": i, "ell": ell, "dimension": d, "error": err})
-    return {"interpolation.json": {"cases": rows, "max_error": worst}}
-
-
-def _parse_class_distance(params: dict, window: Window, where: str) -> dict:
+def _parse_class_distance(params: dict, window: Window, where: str):
     family, ell = _config_class(params, where)
     values = {"L": window.length, "Q": 64, **params}
-    parsed = {"family": family, "ell": ell}
-    for name in ("budget", "L", "Q"):
-        parsed[name] = _config_int(values[name], f"{where}.{name}", low=1)
-    if parsed["L"] > window.length:
-        raise ConfigError(f"{where}.L: {parsed['L']} exceeds the window length "
+    budget, L, Q = (_config_int(values[name], f"{where}.{name}", low=1)
+                    for name in ("budget", "L", "Q"))
+    if L > window.length:
+        raise ConfigError(f"{where}.L: {L} exceeds the window length "
                           f"{window.length}")
-    if family != "A":  # class_distance draws B and C candidates as one list
-        _check_corpus_cells(max(parsed["budget"] - 1, 1), window, f"{where}.budget")
-    return parsed
+    # budget candidates: for B and C, the zero sequence and budget - 1 entries
+    _check_cells(budget if family == "A" else max(budget - 1, 1), window,
+                 f"{where}.budget")
+    return lambda seed, target: {"class_distance.json": asdict(class_distance(
+        target, family, ell, budget, L, seed=seed, freq_grid=Q))}
 
 
-def _run_class_distance(cfg: ExperimentConfig, target: Signal, family: str,
-                        ell: int, budget: int, L: int, Q: int) -> dict:
-    result = class_distance(target, family, ell, budget, L, seed=cfg.seed,
-                            freq_grid=Q)
-    return {"class_distance.json": asdict(result)}
-
-
-def _parse_subsequence(params: dict, window: Window, where: str) -> dict:
+def _parse_subsequence(params: dict, window: Window, where: str):
     try:
         checkpoints = [_config_int(c, f"{where}.checkpoints")
                        for c in params["checkpoints"]]
@@ -733,55 +723,48 @@ def _parse_subsequence(params: dict, window: Window, where: str) -> dict:
     if spec.kind == "arithmetic" and not (qN < 2**63 and -2**63 <= spec.r < 2**63 - qN):
         raise ConfigError(f"{where}: q*N + r must fit in int64 for N <= "
                           f"{max(checkpoints)}")
-    return {"subsequence": spec, "checkpoints": checkpoints}
 
-
-def _run_subsequence_average(cfg: ExperimentConfig, target: Signal,
-                             subsequence: SubsequenceSpec,
-                             checkpoints: list) -> dict:
-    try:
-        table = subsequence_average(target, subsequence, checkpoints,
-                                    seed=cfg.seed)
-    except ValueError as exc:  # a csv target may end before the window
-        raise ConfigError(f"params.subsequence: {exc}") from exc
-    rows = [["N", "re", "im"]]
-    rows += [[int(n), repr(v.real), repr(v.imag)]
-             for n, v in zip(table.checkpoints, table.averages)]
-    return {"subsequence_average.json": table.to_json_dict(),
-            "partial_averages.csv": rows}
+    def run(seed: int, target: Signal) -> dict:
+        try:
+            table = subsequence_average(target, spec, checkpoints, seed=seed)
+        except ValueError as exc:  # a csv target may end before the window
+            raise ConfigError(f"params.subsequence: {exc}") from exc
+        rows = [["N", "re", "im"]]
+        rows += [[int(n), repr(v.real), repr(v.imag)]
+                 for n, v in zip(table.checkpoints, table.averages)]
+        return {"subsequence_average.json": table.to_json_dict(),
+                "partial_averages.csv": rows}
+    return run
 
 
 KINDS: dict[str, ExperimentKind] = {
     "gowers": ExperimentKind(
-        "uniformity seminorm of a target signal", _parse_gowers, _run_gowers,
+        "uniformity seminorm of a target signal", _parse_gowers,
         required=("target", "order"), optional=("H", "L"),
         signals=("target",)),
     "correlate": ExperimentKind(
         "correlation sequence of a torus system query", _parse_correlate,
-        _run_correlate, required=("system", "observables", "iterates"),
+        required=("system", "observables", "iterates"),
         optional=("engine", "grid")),
     "decompose": ExperimentKind(
         "structured-plus-error split against a dictionary", _parse_decompose,
-        _run_decompose, required=("target", "order", "epsilon", "dictionary"),
+        required=("target", "order", "epsilon", "dictionary"),
         optional=("H", "L"), signals=("target",)),
     "vdc-check": ExperimentKind(
-        "van der Corput difference comparison", _parse_vdc, _run_vdc,
+        "van der Corput difference comparison", _parse_vdc,
         required=("target", "H"), signals=("target",)),
     "anti-uniformity": ExperimentKind(
-        "correlation versus 4x uniformity seminorm", _parse_gowers,
-        _run_anti_uniformity, required=("a", "b", "order"), optional=("H", "L"),
-        signals=("a", "b")),
+        "correlation versus 4x uniformity seminorm", _parse_anti_uniformity,
+        required=("a", "b", "order"), optional=("H", "L"), signals=("a", "b")),
     "interpolate-check": ExperimentKind(
         "base-point interpolation identity check", _parse_interpolate,
-        _run_interpolate_check, required=("cases",),
-        optional=("ell", "dimension")),
+        required=("cases",), optional=("ell", "dimension")),
     "class-distance": ExperimentKind(
         "distance from a signal to a sequence class", _parse_class_distance,
-        _run_class_distance, required=("target", "family", "ell", "budget"),
-        optional=("L", "Q"), signals=("target",)),
+        required=("target", "family", "ell", "budget"), optional=("L", "Q"),
+        signals=("target",)),
     "subsequence-average": ExperimentKind(
         "partial averages along a subsequence", _parse_subsequence,
-        _run_subsequence_average,
         required=("target", "subsequence", "checkpoints"),
         signals=("target",), command="subseq-avg"),
 }
@@ -798,15 +781,15 @@ class RunResult:
 def run_experiment(cfg: ExperimentConfig) -> RunResult:
     """Execute one experiment; artifacts land in the output directory.
 
-    A miss writes each artifact and the manifest once: straight into the
-    output directory with caching disabled, else into a private stage
-    directory under the cache root, renamed to become the entry for the
-    config hash, which a rerun replays byte-identically, and copied out.
-    The output directory is made only after the kind has run, so a refused
-    run leaves none.  Every config check runs at load; after it a run is
+    A miss builds the signals (a build error is a ``ConfigError`` naming its
+    param), calls the runner and writes each artifact and the manifest once:
+    straight into the output directory with caching disabled, else into a
+    private stage directory under the cache root, renamed to become the entry
+    for the config hash, which a rerun replays byte-identically, and copied
+    out.  The output directory is made only after the kind has run, so a
+    refused run leaves none.  Every config check runs at load; after it a run is
     refused only by a csv read, the decompose sup-norm and ridge checks,
-    numeric aliasing and budget errors, an exhausted subsequence, or a
-    corpus draw the window cannot hold (a class-C skew spike on < 3 points).
+    numeric aliasing and budget errors, or an exhausted subsequence.
     """
     out_dir = Path(cfg.out_dir) if cfg.out_dir else Path.cwd()
     digest = cfg.digest()
@@ -820,13 +803,13 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
 
     started = time.perf_counter()
     rng = np.random.default_rng(cfg.seed)  # one stream, in param order
-    args = dict(cfg.args)
-    for name in KINDS[cfg.kind].signals:
+    signals = {}
+    for name, build in cfg.builders.items():
         try:
-            args[name] = build_signal(args[name], rng, cfg.seed)
+            signals[name] = build_signal(build, rng, cfg.seed)
         except ValueError as exc:
             raise ConfigError(f"params.{name}: {exc}") from exc
-    artifacts = KINDS[cfg.kind].run(cfg, **args)
+    artifacts = cfg.run(cfg.seed, **signals)
     out_dir.mkdir(parents=True, exist_ok=True)
     stage = out_dir  # without the cache each artifact is written once, here
     if cfg.use_cache:

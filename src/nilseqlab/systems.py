@@ -684,8 +684,8 @@ def _class_b_entry(ell: int, rng: np.random.Generator, w: Window,
 
 def _class_c_entry(ell: int, rng: np.random.Generator, w: Window,
                    freq_grid: Union[int, None], variant: str) -> CorpusEntry:
-    use_skew = variant == "mixed" and ell == 2 and rng.random() < 0.25
-    if use_skew:
+    # the spike is drawn off both ends of the window, so it needs 3 points
+    if variant == "mixed" and ell == 2 and rng.random() < 0.25 and w.length >= 3:
         alpha = float(rng.random())
         k2 = int(rng.integers(1, 3))
         n_star = int(rng.integers(w.start + 1, w.end - 1))

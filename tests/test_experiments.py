@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from nilseqlab import (
+    BracketPhase,
     BudgetError,
     ConfigError,
     PolynomialPhase,
@@ -123,6 +124,10 @@ def test_build_signal_kinds():
     assert np.max(np.abs(np.abs(noise.values) - 1.0)) < 1e-12
     member = build({"kind": "corpus", "family": "C", "ell": 2, "index": 1}, seed=4)
     assert member.window == w
+    bracket = build({"kind": "bracket_phase", "quad": 0.1, "cross": 0.2,
+                     "alpha": 0.3, "linear": 0.4})
+    assert np.array_equal(bracket.values, eval_nilsequence(
+        BracketPhase(0.1, 0.2, 0.3, 0.4), w).values)
 
 
 @pytest.mark.parametrize("target", [
@@ -700,6 +705,11 @@ UNBOUNDED_TARGET = {"kind": "constant", "re": 2.0}
     ("gowers", {"target": {"kind": "corpus", "family": "B", "ell": 2,
                            "index": 0, "freq_grid": 0}}, "target.freq_grid"),
     ("gowers", {"target": {"kind": ["noise"]}}, "target.kind"),  # unhashable
+    ("gowers", {"target": "noise"}, "target"),  # not an object
+    ("gowers", {"target": {"kind": "spike", "positions": 3}}, "target.positions"),
+    ("correlate", {"engine": "fast"}, "engine"),
+    ("correlate", {"engine": "numeric"}, "grid"),
+    ("subsequence-average", {"checkpoints": 5}, "checkpoints"),
 ])
 def test_cli_bad_param_value_exit_2(kind, overrides, field, tmp_path, capsys):
     params, end = KIND_CONFIGS[kind]
@@ -715,12 +725,15 @@ def test_cli_bad_param_value_exit_2(kind, overrides, field, tmp_path, capsys):
 
 
 # corpus_generate builds every entry before any is read: index + 1 entries
-# for a corpus target, budget - 1 for class B and C candidates
+# for a corpus target, budget - 1 for class B and C candidates; class A
+# scores budget candidates one at a time
 @pytest.mark.parametrize("kind,params,end,field", [
     ("gowers", {"target": {"kind": "corpus", "family": "B", "ell": 2,
                            "index": 3_000_000, "count": 4_000_000},
                 "order": 2, "H": 2}, 8, "target.index"),
     ("class-distance", {"target": {"kind": "noise"}, "family": "B", "ell": 2,
+                        "budget": 100_000_000}, 64, "budget"),
+    ("class-distance", {"target": {"kind": "noise"}, "family": "A", "ell": 2,
                         "budget": 100_000_000}, 64, "budget"),
 ])
 def test_cli_corpus_over_budget_exit_3(kind, params, end, field, tmp_path,
@@ -731,6 +744,19 @@ def test_cli_corpus_over_budget_exit_3(kind, params, end, field, tmp_path,
     assert run_cli(tmp_path, raw) == 3
     err = capsys.readouterr().err
     assert err.startswith("budget error") and f"params.{field}" in err
+
+
+# a class-C skew spike is drawn off both ends of the window; on 2 points the
+# entry is a rotation pair whatever the draw
+@pytest.mark.parametrize("kind,params", [
+    *(("gowers", {"target": {"kind": "corpus", "family": "C", "ell": 2,
+                             "index": i}, "order": 2}) for i in range(6)),
+    ("class-distance", {"target": {"kind": "noise"}, "family": "C", "ell": 2,
+                        "budget": 8, "L": 1}),
+])
+def test_class_c_corpus_on_a_two_point_window_runs(kind, params, tmp_path,
+                                                   capsys):
+    assert run_cli(tmp_path, base_config(kind, params, end=2)) == 0
 
 
 def _csv_rows(row5: str) -> str:
@@ -871,6 +897,8 @@ def test_cli_bad_subsequence_exit_2(subsequence, tmp_path, capsys):
     ("use_cache", "no"),
     ("seed", True),
     ("encoding", "latin-1"),
+    ("params", {"target": {"kind": "constant"}}),  # no "order"
+    ("top level", []),
 ])
 def test_cli_bad_top_level_value_exit_2(field, value, tmp_path, capsys,
                                         monkeypatch):
@@ -881,13 +909,17 @@ def test_cli_bad_top_level_value_exit_2(field, value, tmp_path, capsys,
     if field == "encoding":
         raw["out_dir"] = "résultats"
         path.write_bytes(json.dumps(raw, ensure_ascii=False).encode(value))
+    elif field == "top level":
+        path.write_text(json.dumps(value))
     else:
         raw[field] = value
         path.write_text(json.dumps(raw))
     assert cli_main(["gowers", "--config", str(path)]) == 2
     err = capsys.readouterr().err
     assert "config error" in err
-    assert ("UTF-8" if field == "encoding" else field) in err
+    assert {"encoding": "UTF-8",
+            "params": "params: missing required field 'order'",
+            "top level": "top level must be an object"}.get(field, field) in err
 
 
 def test_cli_help_lists_every_command():
