@@ -20,30 +20,28 @@ EXIT_BUDGET = 3
 COMMANDS = {spec.command or kind: kind for kind, spec in KINDS.items()}
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="nilseqlab",
-        description="config-driven experiments on correlation sequences,\n"
-                    "uniformity seminorms, and nilsequence dictionaries",
-        epilog="commands:\n" + "\n".join(
-            f"  {command:<20} {KINDS[kind].help}"
-            for command, kind in COMMANDS.items()),
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-    )
-    parser.add_argument("command", choices=COMMANDS, metavar="command",
-                        help="experiment to run (listed below)")
-    parser.add_argument("--config", required=True, help="JSON config file")
-    parser.add_argument("--out", default=None,
-                        help="output directory (default: config out_dir or cwd)")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="override the config seed")
-    parser.add_argument("--no-cache", action="store_true",
-                        help="recompute even if a cached result exists")
-    return parser
+PARSER = argparse.ArgumentParser(
+    prog="nilseqlab",
+    description="config-driven experiments on correlation sequences,\n"
+                "uniformity seminorms, and nilsequence dictionaries",
+    epilog="commands:\n" + "\n".join(
+        f"  {command:<20} {KINDS[kind].help}"
+        for command, kind in COMMANDS.items()),
+    formatter_class=argparse.RawDescriptionHelpFormatter,
+)
+PARSER.add_argument("command", choices=COMMANDS, metavar="command",
+                    help="experiment to run (listed below)")
+PARSER.add_argument("--config", required=True, help="JSON config file")
+PARSER.add_argument("--out", default=None,
+                    help="output directory (default: config out_dir or cwd)")
+PARSER.add_argument("--seed", type=int, default=None,
+                    help="override the config seed")
+PARSER.add_argument("--no-cache", action="store_true",
+                    help="recompute even if a cached result exists")
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = PARSER.parse_args(argv)
     try:
         cfg = load_config(args.config, overrides={
             "seed": args.seed,

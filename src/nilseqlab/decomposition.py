@@ -13,14 +13,12 @@ from __future__ import annotations
 
 import ctypes
 import itertools
-import os
-import queue
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Tuple, Union
 
 import numpy as np
 
+from ._threads import run_blocks, usable_cpus
 from .errors import BudgetError
 # eval_nilsequence stays bound for perfbench's tracer self-test, which reads it
 from .nilmanifolds import (BracketPhase, Dictionary, PolynomialPhase, atom_rows,
@@ -134,9 +132,7 @@ def _gram_workers(blocks: int) -> int:
     workers beside it would only contend with its threads."""
     if blocks < 2 or _blas_threads() != 1:
         return 1
-    cpus = getattr(os, "sched_getaffinity",  # Linux; elsewhere every CPU
-                   lambda _: range(os.cpu_count() or 1))(0)
-    return min(blocks, len(cpus))
+    return min(blocks, usable_cpus())
 
 
 def _solve_projection(a: Signal, psi: np.ndarray, ridge: float):
@@ -147,22 +143,15 @@ def _solve_projection(a: Signal, psi: np.ndarray, ridge: float):
     n, m = a.window.length, len(psi)
     gram, rhs = np.empty((m, m), dtype=complex), np.empty(m, dtype=complex)
     starts = range(0, m, GRAM_ROWS)
-    workers = _gram_workers(len(starts))
-    buffers = queue.SimpleQueue()  # never waited on: at most workers run
-    for _ in range(workers):
-        buffers.put(np.empty((min(m, GRAM_ROWS), n), dtype=complex))
-    def block(i: int) -> None:  # on a worker: call nothing perfbench traces
-        buffer, rows = buffers.get(), gram[i:i + GRAM_ROWS, i:]
-        try:
-            conj = np.conj(psi[i:i + GRAM_ROWS], out=buffer[:len(rows)])
-            np.matmul(conj, psi[i:].T, out=rows)  # releases the GIL
-            rows /= n
-            rhs[i:i + GRAM_ROWS] = conj @ a.values / n
-        finally:
-            buffers.put(buffer)
-    with ThreadPoolExecutor(workers) as pool:  # one worker: inline, no thread
-        list((pool.map if workers > 1 else map)(block, starts))
-    del buffers  # their memory goes back before the solve
+    def block(i: int, buffer: np.ndarray) -> None:  # on a worker, maybe
+        rows = gram[i:i + GRAM_ROWS, i:]
+        conj = np.conj(psi[i:i + GRAM_ROWS], out=buffer[:len(rows)])
+        np.matmul(conj, psi[i:].T, out=rows)  # releases the GIL
+        rows /= n
+        rhs[i:i + GRAM_ROWS] = conj @ a.values / n
+    # the buffers' memory goes back when run_blocks returns, before the solve
+    run_blocks(block, starts, [np.empty((min(m, GRAM_ROWS), n), dtype=complex)
+                               for _ in range(_gram_workers(len(starts)))])
     # mirror the upper triangle: a product alone is not bitwise Hermitian
     np.copyto(gram, np.conj(gram).T, where=np.tri(m, k=-1, dtype=bool))
     np.fill_diagonal(gram, gram.diagonal().real)

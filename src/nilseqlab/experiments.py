@@ -157,6 +157,7 @@ def config_from_dict(raw: Mapping, source: str = "<config>") -> ExperimentConfig
         window = Window(start, end)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{source}.window: {exc}") from exc
+    _check_cells(1, window, f"{source}.window")  # a signal spans the window
     seed = _config_int(raw.get("seed", 0), f"{source}.seed", low=0)
     out_dir = raw.get("out_dir")
     if out_dir is not None and not isinstance(out_dir, str):

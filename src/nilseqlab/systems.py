@@ -32,12 +32,13 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Sequence, Tuple, Union
 
 import numpy as np
 
 from ._exact import ExactPoly, mod1
+from ._threads import run_blocks, usable_cpus
 from .errors import AliasingError, BudgetError
 from .nilmanifolds import (BracketPhase, HeisenbergElement,
                            HeisenbergObservable, HeisenbergOrbit,
@@ -523,20 +524,38 @@ def correlate_numeric(q: CorrelationQuery, w: Window, quad: QuadratureSpec,
     Grid points are pushed through the affine maps (integer arithmetic for
     the matrix part) and the observables are evaluated at the transformed
     points.  Refuses grids below the aliasing threshold unless
-    ``allow_aliased=True`` is passed explicitly.
+    ``allow_aliased=True`` is passed explicitly.  Every value equals the
+    per-n quadrature (one ``np.exp`` row per n) bit for bit.
 
-    The window runs in blocks of ``max(1, BLOCK_CELLS // G^d)`` rows, one
-    ``(rows, G^d)`` array per block.  A pushed coordinate ``t`` in
-    ``[0, G)`` lands at ``mod1(t / G + shift)``, read from a table of its G
-    values per row.  ``BLOCK_CELLS = 2**14 - 1`` for two reasons:
-    larger blocks cost memory without saving time (blocks of 2**20 cells
-    raised the peak RSS of a ``correlate`` benchmark run from 46 to 172 MB
-    and slowed it by 17%), and every block must stay below numpy's
-    temporary elision (2**14 complex values, 256 KiB).  An elided ``coeff * exp(...)`` runs in place
-    with its operands swapped, and the fused complex product is not bitwise
-    commutative.  So no block of several rows is elided, and a row of 2**14
-    cells or more is a block of its own, elided as in the per-n loop.  Every
-    value equals the per-n quadrature bit for bit.
+    The window runs in blocks of ``max(1, BLOCK_CELLS // G^d)`` rows of
+    ``G^d`` cells; larger blocks cost memory without saving time (blocks of
+    2**20 cells raised the peak RSS of a ``correlate`` benchmark run from 46
+    to 172 MB and slowed it by 17%).  The blocks run on a thread per CPU the
+    process may use, at most one per block (one runs inline), and each
+    thread owns one set of row buffers, allocated here for one block: the
+    index (whose memory the exponential reuses), the point, the phase, the
+    cosine or sine, ``fval`` and ``prod``.  Every step writes into them.
+
+    Coordinate r of a pushed cell is ``sum_c M[r, c] x_c mod G``.  Each
+    ``M[r, c] x_c mod G`` is a residue vector of length G, and the vectors
+    are added over the product grid without a reduction: the sum, below
+    ``d G``, indexes a table of the point ``mod1(t / G + shift)`` that holds
+    its G values d times over.
+
+    ``exp(2 pi i t)`` is computed as ``cos(y) + i sin(y)`` with
+    ``y = 2 pi t``, the imaginary part of ``2j * np.pi * t``: numpy's
+    complex ``exp`` calls glibc's ``cexp``, and ``cexp(+0 + iy)`` is
+    ``(cos y, sin y)``.  Cosine and sine into contiguous rows run faster
+    than complex ``exp`` and overlap on threads, where ``exp`` does not.
+    On a platform whose ``cos``/``sin`` differ from its ``cexp``, the
+    per-n oracle test fails.
+
+    The fused complex product is not bitwise commutative, so every product
+    keeps the operand order of the per-n quadrature.  There numpy elides the
+    temporary of ``coeff * np.exp(...)`` from 2**14 values (256 KiB) on,
+    computing ``exp * coeff`` in place; below, it computes
+    ``coeff * exp``.  ``fval`` starts at 0 and ``prod`` at 1, which fixes
+    the signs of zeros.
     """
     structure = correlation_structure(q)
     d = q.system.dimension
@@ -564,27 +583,54 @@ def correlate_numeric(q: CorrelationQuery, w: Window, quad: QuadratureSpec,
         shifts.append(np.array([
             ExactPoly.through([s[j][r][d] for s in samples]).fracs(ns)
             for r in range(d)]).T)
-    grid = np.indices((G,) * d).reshape(d, -1)  # (d, G^d)
-    levels = np.arange(G) / G
-    rows = max(1, BLOCK_CELLS // grid.shape[1])
+    cells, span = G**d, d * G
+    rows = min(max(1, BLOCK_CELLS // cells), w.length)
+    elided = cells >= 2**14  # numpy elides a per-n row product this long
+    levels = np.arange(span) % G / G  # t / G for t in [0, G), d times over
+    residues = np.arange(G)
     values = np.empty(w.length, dtype=np.complex128)
-    for lo in range(0, w.length, rows):
-        block = slice(lo, min(lo + rows, w.length))
-        count = block.stop - lo
+
+    def block(lo: int, buffers: Tuple[np.ndarray, ...]) -> None:  # on a worker
+        count = min(rows, w.length - lo)
+        point, phase, trig, fval, prod = (b[:count] for b in buffers[1:])
+        # the index is dead before the exponential is written: one memory
+        index = buffers[0][:count * d * cells].reshape(count, d, cells)
+        exp = buffers[0][:2 * count * cells].view(complex).reshape(count, cells)
+        grid = index.reshape((count, d) + (G,) * d)
         # where each (row, coordinate) table starts once the tables are flat
-        starts = G * np.arange(count * d).reshape(count, d, 1)
-        prod = np.ones((count, grid.shape[1]), dtype=np.complex128)
+        starts = span * np.arange(count * d).reshape(count, d, 1)
+        prod.fill(1)
         for mat, shift, obs in zip(mats, shifts, q.observables):
-            transformed = np.matmul(mat[block], grid) % G  # (rows, d, G^d)
-            tables = mod1(levels + shift[block, :, None])  # (rows, d, G)
-            point = tables.ravel()[transformed + starts]
-            fval = np.zeros_like(prod)
+            tables = mod1(levels + shift[lo:lo + count, :, None])  # (rows, d, dG)
+            push = mat[lo:lo + count, :, :, None] * residues % G  # (rows, d, d, G)
+            push[:, :, 0] += starts  # each sum indexes its own table
+            axes = [push[:, :, c].reshape((count, d) + (1,) * c + (G,)
+                                          + (1,) * (d - 1 - c)) for c in range(d)]
+            np.add(reduce(np.add, axes[:-1], 0), axes[-1], out=grid)
+            np.take(tables.ravel(), index, out=point, mode="clip")
+            fval.fill(0)
             for freq, coeff in obs.terms:
                 # stacked, so each row is the same (d,) @ (d, G^d) product
-                phase = mod1(np.asarray(freq, dtype=float) @ point)
-                fval += coeff * np.exp(2j * np.pi * phase)
+                np.matmul(np.asarray(freq, dtype=float), point, out=phase)
+                np.subtract(phase, np.floor(phase, out=trig), out=phase)  # mod1
+                np.multiply(phase, 2 * np.pi, out=phase)
+                np.copyto(exp.real, np.cos(phase, out=trig))
+                np.copyto(exp.imag, np.sin(phase, out=trig))
+                if elided:
+                    np.multiply(exp, coeff, out=exp)
+                else:
+                    np.multiply(coeff, exp, out=exp)
+                fval += exp
             prod *= fval
-        values[block] = prod.mean(axis=1)
+        values[lo:lo + count] = prod.mean(axis=1)
+
+    blocks = range(0, w.length, rows)
+    shapes = [(rows * max(d, 2) * cells, np.intp), ((rows, d, cells), float),
+              ((rows, cells), float), ((rows, cells), float),
+              ((rows, cells), complex), ((rows, cells), complex)]
+    run_blocks(block, blocks, [
+        tuple(np.empty(shape, dtype=dtype) for shape, dtype in shapes)
+        for _ in range(min(len(blocks), usable_cpus()))])
     return Signal(w, values)
 
 

@@ -726,7 +726,8 @@ def test_cli_bad_param_value_exit_2(kind, overrides, field, tmp_path, capsys):
 
 # corpus_generate builds every entry before any is read: index + 1 entries
 # for a corpus target, budget - 1 for class B and C candidates; class A
-# scores budget candidates one at a time
+# scores budget candidates one at a time; a window longer than the budget
+# holds no signal (2**36 points would need 1 TiB for one complex signal)
 @pytest.mark.parametrize("kind,params,end,field", [
     ("gowers", {"target": {"kind": "corpus", "family": "B", "ell": 2,
                            "index": 3_000_000, "count": 4_000_000},
@@ -735,15 +736,18 @@ def test_cli_bad_param_value_exit_2(kind, overrides, field, tmp_path, capsys):
                         "budget": 100_000_000}, 64, "budget"),
     ("class-distance", {"target": {"kind": "noise"}, "family": "A", "ell": 2,
                         "budget": 100_000_000}, 64, "budget"),
+    ("gowers", {"target": {"kind": "constant"}, "order": 2}, 2**36, "window"),
+    ("correlate", ROTATIONS, 2**36, "window"),
 ])
 def test_cli_corpus_over_budget_exit_3(kind, params, end, field, tmp_path,
                                        capsys):
     raw = base_config(kind, params, end=end)
-    with pytest.raises(BudgetError, match=rf"<config>\.params\.{field}"):
+    where = field if field == "window" else f"params.{field}"
+    with pytest.raises(BudgetError, match=rf"<config>\.{where}"):
         config_from_dict(raw)
     assert run_cli(tmp_path, raw) == 3
     err = capsys.readouterr().err
-    assert err.startswith("budget error") and f"params.{field}" in err
+    assert err.startswith("budget error") and f".{where}:" in err
 
 
 # a class-C skew spike is drawn off both ends of the window; on 2 points the
@@ -934,42 +938,79 @@ def test_cli_help_lists_every_command():
         assert spec.help in out.stdout
 
 
-@pytest.mark.skipif(not hasattr(os, "sched_getaffinity")
-                    or len(os.sched_getaffinity(0)) < 2,
-                    reason="needs a second CPU to run the Gram on threads")
+def _cli_artifacts(tmp_path, name, raw, pin="", **env) -> dict:
+    """Run a config through the CLI in a fresh process, ``pin`` run first,
+    with ``env`` over one BLAS thread: every artifact's bytes, and the
+    manifest without its wall time."""
+    config = write_config(tmp_path, raw)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+           "MKL_NUM_THREADS": "1", **env}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = (f"import os, sys\n{pin}\n"
+            "from nilseqlab.cli import main\nsys.exit(main(sys.argv[1:]))")
+    out = tmp_path / name
+    run = subprocess.run(
+        [sys.executable, "-c", code, KINDS[raw["kind"]].command or raw["kind"],
+         "--config", config, "--out", str(out), "--no-cache"],
+        capture_output=True, text=True, env=env, timeout=300)
+    assert run.returncode == 0, run.stderr
+    manifest = json.loads((out / "manifest.json").read_text())
+    del manifest["wall_time_s"]
+    return {p.name: manifest if p.name == "manifest.json" else p.read_bytes()
+            for p in sorted(out.iterdir())}
+
+
+# a numeric correlation of 8 one-row blocks of 129^2 grid cells
+NUMERIC_SKEW = {
+    "system": {"dimension": 2, "transformations": [
+        {"matrix": [[1, 0], [1, 1]], "alpha": [0.37, 0.0]}]},
+    "observables": [[{"k": [2, 2]}], [{"k": [8, -2]}]],
+    "iterates": [[[0, 1], [0, 2]]], "engine": "numeric", "grid": 129}
+
+
+_SECOND_CPU = pytest.mark.skipif(
+    not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
+    reason="needs a second CPU to run blocks on threads")
+
+
+def _same_artifacts_on_one_cpu_and_all(tmp_path, raw) -> dict:
+    """Pinned to one CPU the blocks run inline, unpinned on threads, and
+    every artifact keeps its bytes."""
+    first = min(os.sched_getaffinity(0))
+    one = _cli_artifacts(tmp_path, "one", raw,
+                         pin=f"os.sched_setaffinity(0, {{{first}}})")
+    every = _cli_artifacts(tmp_path, "all", raw)
+    assert one == every
+    return every
+
+
+@_SECOND_CPU
 def test_decompose_artifacts_do_not_depend_on_cpu_count(tmp_path):
-    """A step-2 Q=32 Gram has 8 row blocks: pinned to one CPU they run
-    inline, unpinned on threads, and every artifact keeps its bytes."""
+    # a step-2 Q=32 Gram has 8 row blocks; it runs on threads only beside a
+    # single-threaded BLAS, and the artifacts also depend on the BLAS
+    # thread count
     raw = base_config("decompose", {
         "target": {"kind": "noise"}, "order": 2, "epsilon": 0.1, "H": 8,
         "dictionary": {"step": 2, "Q": 32}}, end=1024)
-    config = write_config(tmp_path, raw)
-    env = dict(os.environ)
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    # one BLAS thread: the Gram runs on threads only beside a single-threaded
-    # BLAS, and the artifacts also depend on the BLAS thread count
-    env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
-    first = min(os.sched_getaffinity(0))
-    outputs = {}
-    for name, pin in (("one", f"os.sched_setaffinity(0, {{{first}}})"),
-                      ("all", "")):
-        code = (f"import os, sys\n{pin}\n"
-                "from nilseqlab.cli import main\nsys.exit(main(sys.argv[1:]))")
-        out = tmp_path / name
-        run = subprocess.run(
-            [sys.executable, "-c", code, "decompose", "--config", config,
-             "--out", str(out), "--no-cache"],
-            capture_output=True, text=True, env=env, timeout=300)
-        assert run.returncode == 0, run.stderr
-        manifest = json.loads((out / "manifest.json").read_text())
-        del manifest["wall_time_s"]
-        outputs[name] = {
-            p.name: manifest if p.name == "manifest.json" else p.read_bytes()
-            for p in sorted(out.iterdir())}
-    assert sorted(outputs["all"]) == ["a_er.csv", "a_st.csv",
-                                      "decomposition.json", "manifest.json"]
-    assert outputs["one"] == outputs["all"]
+    assert sorted(_same_artifacts_on_one_cpu_and_all(tmp_path, raw)) == [
+        "a_er.csv", "a_st.csv", "decomposition.json", "manifest.json"]
+
+
+@_SECOND_CPU
+def test_numeric_correlate_artifacts_do_not_depend_on_cpu_count(tmp_path):
+    raw = base_config("correlate", NUMERIC_SKEW, end=8)
+    assert sorted(_same_artifacts_on_one_cpu_and_all(tmp_path, raw)) == [
+        "correlation.csv", "manifest.json", "query.json"]
+
+
+def test_numeric_correlate_artifacts_do_not_depend_on_blas_threads(tmp_path):
+    raw = base_config("correlate", NUMERIC_SKEW, end=8)
+    one = _cli_artifacts(tmp_path, "one", raw)
+    two = _cli_artifacts(tmp_path, "two", raw, OPENBLAS_NUM_THREADS="2",
+                         OMP_NUM_THREADS="2")
+    assert sorted(one) == ["correlation.csv", "manifest.json", "query.json"]
+    assert one == two
 
 
 def test_cli_unknown_command_exit_2(tmp_path, capsys):

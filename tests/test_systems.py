@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
+import sys
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -578,6 +581,37 @@ def test_numeric_engine_matches_per_n_oracle(case, grid):
         return
     got = correlate_numeric(q, w, quad, allow_aliased=True)
     assert np.array_equal(got.values, _numeric_per_n(q, w, grid))  # bit for bit
+
+
+# coefficients in both slots: a product whose operands are swapped changes
+# the last bits of some means
+_GENERIC_PAIR = diagonal_query(rotation_system(0.832, 0.1117), [
+    TrigObservable((((1,), _GENERIC[0]), ((2,), _GENERIC[1]))),
+    TrigObservable((((-1,), _GENERIC[1]),))])
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])  # inline, and more threads than CPUs
+@pytest.mark.parametrize("q,w,grid", [
+    # 8 one-row blocks of 129^2 cells, past the elision size
+    (skew_spike_query(0.37, 2, 8, 2), Window(1, 9), 129),
+    # three rows a block below it, and one row a block above it
+    (_GENERIC_PAIR, Window(-10**6, -10**6 + 40), 5000),
+    (_GENERIC_PAIR, Window(-7, 33), 2**14 + 3),
+], ids=["skew", "rows-below-elision", "rows-above-elision"])
+def test_numeric_engine_floats_do_not_depend_on_workers(q, w, grid, cpus,
+                                                        monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                        raising=False)
+    threads, interval = threading.active_count(), sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = correlate_numeric(q, w, QuadratureSpec(grid), allow_aliased=True)
+    finally:
+        sys.setswitchinterval(interval)
+    assert threading.active_count() == threads  # no worker outlives the call
+    # signed zeros count
+    assert np.array_equal(got.values.view(np.uint64),
+                          _numeric_per_n(q, w, grid).view(np.uint64))
 
 
 @pytest.mark.parametrize("offset", [990, 800])
