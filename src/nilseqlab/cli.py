@@ -33,7 +33,7 @@ PARSER.add_argument("command", choices=COMMANDS, metavar="command",
                     help="experiment to run (listed below)")
 PARSER.add_argument("--config", required=True, help="JSON config file")
 PARSER.add_argument("--out", default=None,
-                    help="output directory (default: config out_dir or cwd)")
+                    help="output directory (default: the current directory)")
 PARSER.add_argument("--seed", type=int, default=None,
                     help="override the config seed")
 PARSER.add_argument("--no-cache", action="store_true",
@@ -43,17 +43,13 @@ PARSER.add_argument("--no-cache", action="store_true",
 def main(argv=None) -> int:
     args = PARSER.parse_args(argv)
     try:
-        cfg = load_config(args.config, overrides={
-            "seed": args.seed,
-            "out_dir": args.out,
-            "use_cache": False if args.no_cache else None,
-        })
+        cfg = load_config(args.config, seed=args.seed)
         if cfg.kind != COMMANDS[args.command]:
             raise ConfigError(
                 f"config kind {cfg.kind!r} does not match command "
                 f"{args.command!r}"
             )
-        result = run_experiment(cfg)
+        result = run_experiment(cfg, args.out, use_cache=not args.no_cache)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -63,6 +63,11 @@ class DictionarySpec:
         if self.ridge is not None and self.ridge < 0:
             raise ValueError("ridge must be >= 0")
 
+    def atom_count(self) -> int:
+        """Q atoms per gridded degree, and Q(Q-1) brackets when included."""
+        Q = self.freq_resolution
+        return Q ** len(self.degrees) + (Q * (Q - 1) if self.include_brackets else 0)
+
     def resolved_ridge(self, atom_count: int) -> float:
         if self.ridge is not None:
             return self.ridge
@@ -77,9 +82,7 @@ def build_dictionary(spec: DictionarySpec) -> Dictionary:
     """
     Q = spec.freq_resolution
     grid = [j / Q for j in range(Q)]
-    count = Q ** len(spec.degrees)
-    if spec.include_brackets:
-        count += Q * (Q - 1)
+    count = spec.atom_count()
     if count > spec.budget:
         raise BudgetError(
             f"dictionary would hold {count} atoms, budget is {spec.budget}"

@@ -1,11 +1,11 @@
 """Config-driven experiment runner with deterministic caching.
 
-Every experiment is described by a JSON-compatible config (kind, window,
-per-kind params, seed).  Each kind is one :data:`KINDS` record holding its
-param schema, its parser (which turns the params into the kind's runner) and
-its CLI entry.  Results are written as CSV tables and JSON reports plus a
-manifest; the SHA-256 of the canonicalized config keys a cache directory, and
-a rerun with the same config reuses the cached artifacts byte for byte.
+A JSON-compatible config holds only what is computed (kind, window, per-kind
+params, seed); the output directory and the cache are arguments of the run.
+Each kind is one :data:`KINDS` record: its param schema, its parser (which
+turns the params into the kind's runner) and its CLI entry.  Results are CSV
+tables and JSON reports plus a manifest; the SHA-256 of the canonicalized
+config keys a cache directory, and a rerun reuses its artifacts byte for byte.
 """
 
 from __future__ import annotations
@@ -113,8 +113,8 @@ class ExperimentKind:
 
 @dataclass(frozen=True, eq=False)
 class ExperimentConfig:
-    """A loaded config: its params as written (the digest keys these), the
-    builder of each signal param in param order, and the kind's runner."""
+    """What is computed: the kind, window, params as written and seed (the
+    digest keys these), each signal param's builder and the kind's runner."""
 
     kind: str
     window: Window
@@ -122,8 +122,6 @@ class ExperimentConfig:
     builders: dict
     run: Callable[..., dict]
     seed: int = 0
-    out_dir: Union[str, None] = None
-    use_cache: bool = True
 
     def canonical(self) -> str:
         """Deterministic JSON of the fields that define the computation."""
@@ -142,7 +140,7 @@ class ExperimentConfig:
 def config_from_dict(raw: Mapping, source: str = "<config>") -> ExperimentConfig:
     _require_keys(
         raw,
-        allowed=("kind", "window", "params", "seed", "out_dir", "use_cache"),
+        allowed=("kind", "window", "params", "seed"),
         required=("kind", "window", "params"),
         where=source,
     )
@@ -157,14 +155,8 @@ def config_from_dict(raw: Mapping, source: str = "<config>") -> ExperimentConfig
         window = Window(start, end)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{source}.window: {exc}") from exc
-    _check_cells(1, window, f"{source}.window")  # a signal spans the window
+    _check_cells(1, window.length, f"{source}.window")  # a signal spans it
     seed = _config_int(raw.get("seed", 0), f"{source}.seed", low=0)
-    out_dir = raw.get("out_dir")
-    if out_dir is not None and not isinstance(out_dir, str):
-        raise ConfigError(f"{source}.out_dir: must be a string")
-    use_cache = raw.get("use_cache", True)
-    if not isinstance(use_cache, bool):
-        raise ConfigError(f"{source}.use_cache: must be true or false")
     spec = KINDS[kind]
     where = f"{source}.params"
     _require_keys(raw["params"], spec.required + spec.optional, spec.required,
@@ -179,12 +171,11 @@ def config_from_dict(raw: Mapping, source: str = "<config>") -> ExperimentConfig
         builders=builders,
         run=spec.parse(params, window, where),
         seed=seed,
-        out_dir=out_dir,
-        use_cache=use_cache,
     )
 
 
-def load_config(path, overrides: Union[Mapping, None] = None) -> ExperimentConfig:
+def load_config(path, seed: Union[int, None] = None) -> ExperimentConfig:
+    """Read a JSON config file; ``seed``, when given, replaces its seed."""
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
     except UnicodeDecodeError as exc:
@@ -196,8 +187,8 @@ def load_config(path, overrides: Union[Mapping, None] = None) -> ExperimentConfi
         ) from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: top level must be an object")
-    if overrides:
-        raw = {**raw, **{k: v for k, v in overrides.items() if v is not None}}
+    if seed is not None:
+        raw = {**raw, "seed": seed}
     return config_from_dict(raw, source=str(path))
 
 
@@ -215,12 +206,12 @@ def _config_class(params: Mapping, where: str) -> Tuple[str, int]:
     return family, ell
 
 
-def _check_cells(signals: int, window: Window, where: str) -> None:
-    """Refuse a run that builds more than ``DEFAULT_QUAD_BUDGET`` cells of
-    signals; ``corpus_generate`` builds all its entries before any is read."""
-    if signals * window.length > DEFAULT_QUAD_BUDGET:
-        raise BudgetError(f"{where}: {signals} signals of {window.length} "
-                          f"points exceed the budget of {DEFAULT_QUAD_BUDGET} cells")
+def _check_cells(rows: int, columns: int, where: str, what: str = "signals") -> None:
+    """Refuse a run whose ``what`` holds more than ``DEFAULT_QUAD_BUDGET``
+    cells; ``corpus_generate`` builds all its entries before any is read."""
+    if rows * columns > DEFAULT_QUAD_BUDGET:
+        raise BudgetError(f"{where}: {what} of {rows} x {columns} cells, over "
+                          f"the budget of {DEFAULT_QUAD_BUDGET} cells")
 
 
 def parse_signal_spec(spec: Mapping, window: Window,
@@ -273,7 +264,7 @@ def parse_signal_spec(spec: Mapping, window: Window,
         variant = spec.get("variant", "mixed")
         if variant not in ("mixed", "rotations"):
             raise ConfigError(f"{where}.variant: must be 'mixed' or 'rotations'")
-        _check_cells(index + 1, window, f"{where}.index")
+        _check_cells(index + 1, window.length, f"{where}.index")
         # entry i depends only on the draws before it, so the entries past
         # the index are never drawn
         return lambda rng, seed: corpus_generate(
@@ -566,10 +557,12 @@ def _gowers_params(params: dict, window: Window, where: str) -> GowersParams:
     gowers = GowersParams(_config_int(params["order"], f"{where}.order"),
                           shift_count=H, scale=L)
     try:
-        gowers.resolve(window.length)
+        shifts = gowers.resolve(window.length)[0]
     except ValueError as exc:  # resolve checks H before L
         field = "L" if L is not None and (H or 1) < window.length else "H"
         raise ConfigError(f"{where}.{field}: {exc}") from exc
+    _check_cells(shifts ** (gowers.order - 1), window.length, f"{where}.H",
+                 "the recursion's leaf derivatives")
     return gowers
 
 
@@ -628,6 +621,8 @@ def _parse_decompose(params: dict, window: Window, where: str):
         )
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{where}: {exc}") from exc
+    atoms = dictionary.atom_count()  # the larger of the atom matrix and Gram
+    _check_cells(atoms, max(atoms, window.length), where, "an atom matrix or Gram")
 
     def run(seed: int, target: Signal) -> dict:
         try:
@@ -668,6 +663,10 @@ def _parse_interpolate(params: dict, window: Window, where: str):
         raise ConfigError(f"{where}.ell: must lie in 2..8")
     ells = [parsed["ell"]] if "ell" in parsed else [2, 3, 4, 5]
     dims = [parsed["dimension"]] if "dimension" in parsed else [1, 2, 3]
+    # a case: ell points of the dimension, and a row as slow as 1024 cells
+    per_case = max(ells) * max(dims) + 1024
+    _check_cells(1, per_case, f"{where}.dimension", "an interpolation case")
+    _check_cells(parsed["cases"], per_case, f"{where}.cases", "interpolation cases")
 
     def run(seed: int) -> dict:
         rng = np.random.default_rng(seed)
@@ -695,7 +694,7 @@ def _parse_class_distance(params: dict, window: Window, where: str):
         raise ConfigError(f"{where}.L: {L} exceeds the window length "
                           f"{window.length}")
     # budget candidates: for B and C, the zero sequence and budget - 1 entries
-    _check_cells(budget if family == "A" else max(budget - 1, 1), window,
+    _check_cells(budget if family == "A" else max(budget - 1, 1), window.length,
                  f"{where}.budget")
     return lambda seed, target: {"class_distance.json": asdict(class_distance(
         target, family, ell, budget, L, seed=seed, freq_grid=Q))}
@@ -779,66 +778,67 @@ class RunResult:
     cache_hit: bool
 
 
-def run_experiment(cfg: ExperimentConfig) -> RunResult:
-    """Execute one experiment; artifacts land in the output directory.
+def run_experiment(cfg: ExperimentConfig, out_dir: Union[str, Path, None] = None,
+                   use_cache: bool = True) -> RunResult:
+    """Execute one experiment; artifacts land in ``out_dir`` (default: cwd).
 
     A miss builds the signals (a build error is a ``ConfigError`` naming its
     param), calls the runner and writes each artifact and the manifest once:
-    straight into the output directory with caching disabled, else into a
-    private stage directory under the cache root, renamed to become the entry
-    for the config hash, which a rerun replays byte-identically, and copied
-    out.  The output directory is made only after the kind has run, so a
-    refused run leaves none.  Every config check runs at load; after it a run is
-    refused only by a csv read, the decompose sup-norm and ridge checks,
-    numeric aliasing and budget errors, or an exhausted subsequence.
+    straight into the output directory without the cache, else into a private
+    stage directory renamed to become the cache entry for the config hash (a
+    concurrent run's entry wins).  A cached run copies the entry's files out:
+    those it wrote on a miss, those listed on a hit.  The output directory is
+    made only after the kind has run, so a refused run leaves none.  Every
+    config check runs at load; after it a run is refused only by a csv read,
+    the decompose sup-norm and ridge checks, numeric aliasing and budget
+    errors, or an exhausted subsequence.
     """
-    out_dir = Path(cfg.out_dir) if cfg.out_dir else Path.cwd()
+    out_dir = Path(out_dir) if out_dir else Path.cwd()
     digest = cfg.digest()
     cached = cache_root() / digest
-    if cfg.use_cache and cached.is_dir():
+    hit = use_cache and cached.is_dir()
+    if hit:
         names = sorted(p.name for p in cached.iterdir())
-        out_dir.mkdir(parents=True, exist_ok=True)
-        for name in names:
-            shutil.copyfile(cached / name, out_dir / name)
-        return RunResult(digest, out_dir, tuple(names), cache_hit=True)
+    else:
+        started = time.perf_counter()
+        rng = np.random.default_rng(cfg.seed)  # one stream, in param order
+        signals = {}
+        for name, build in cfg.builders.items():
+            try:
+                signals[name] = build_signal(build, rng, cfg.seed)
+            except ValueError as exc:
+                raise ConfigError(f"params.{name}: {exc}") from exc
+        artifacts = cfg.run(cfg.seed, **signals)
+        names = sorted([*artifacts, "manifest.json"])
 
-    started = time.perf_counter()
-    rng = np.random.default_rng(cfg.seed)  # one stream, in param order
-    signals = {}
-    for name, build in cfg.builders.items():
-        try:
-            signals[name] = build_signal(build, rng, cfg.seed)
-        except ValueError as exc:
-            raise ConfigError(f"params.{name}: {exc}") from exc
-    artifacts = cfg.run(cfg.seed, **signals)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    stage = out_dir  # without the cache each artifact is written once, here
-    if cfg.use_cache:
+        def write(directory: Path) -> None:
+            for name, payload in artifacts.items():
+                _write_artifact(directory / name, payload)
+            manifest = {
+                "config_hash": digest,
+                "config": json.loads(cfg.canonical()),
+                "artifacts": sorted(artifacts),
+                "versions": {
+                    "nilseqlab": __version__,
+                    "numpy": np.__version__,
+                    "python": sys.version.split()[0],
+                },
+                "wall_time_s": round(time.perf_counter() - started, 6),
+            }
+            _write_artifact(directory / "manifest.json", manifest)
+        if not use_cache:  # each artifact is written once, straight out
+            out_dir.mkdir(parents=True, exist_ok=True)
+            write(out_dir)
+            return RunResult(digest, out_dir, tuple(names), cache_hit=False)
         cached.parent.mkdir(parents=True, exist_ok=True)
         stage = Path(tempfile.mkdtemp(prefix="stage-", dir=cached.parent))
-    try:
-        for name, payload in artifacts.items():
-            _write_artifact(stage / name, payload)
-        manifest = {
-            "config_hash": digest,
-            "config": json.loads(cfg.canonical()),
-            "artifacts": sorted(artifacts),
-            "versions": {
-                "nilseqlab": __version__,
-                "numpy": np.__version__,
-                "python": sys.version.split()[0],
-            },
-            "wall_time_s": round(time.perf_counter() - started, 6),
-        }
-        _write_artifact(stage / "manifest.json", manifest)
-        names = sorted([*artifacts, "manifest.json"])
-        if cfg.use_cache:  # on OSError a concurrent run won; serve its bytes
-            with contextlib.suppress(OSError):
+        try:
+            write(stage)
+            with contextlib.suppress(OSError):  # a concurrent run won
                 os.replace(stage, cached)
-            source = cached if cached.is_dir() else stage
-            for name in names:
-                shutil.copyfile(source / name, out_dir / name)
-    finally:
-        if cfg.use_cache:
+        finally:
             shutil.rmtree(stage, ignore_errors=True)
-    return RunResult(digest, out_dir, tuple(names), cache_hit=False)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for name in names:
+        shutil.copyfile(cached / name, out_dir / name)
+    return RunResult(digest, out_dir, tuple(names), cache_hit=hit)

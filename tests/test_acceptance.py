@@ -493,10 +493,9 @@ def test_criterion_11_determinism(tmp_path, monkeypatch):
     ]
     identical = True
     for i, raw in enumerate(configs):
-        r1 = run_experiment(config_from_dict(
-            dict(raw, out_dir=str(tmp_path / f"a{i}"))))
-        r2 = run_experiment(config_from_dict(
-            dict(raw, out_dir=str(tmp_path / f"b{i}"))))
+        cfg = config_from_dict(raw)
+        r1 = run_experiment(cfg, tmp_path / f"a{i}")
+        r2 = run_experiment(cfg, tmp_path / f"b{i}")
         assert r2.cache_hit
         for name in r1.artifacts:
             if (r1.out_dir / name).read_bytes() != (r2.out_dir / name).read_bytes():

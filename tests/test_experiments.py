@@ -6,6 +6,7 @@ import contextlib
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -92,15 +93,6 @@ def test_json_syntax_error_reports_line(tmp_path):
     path.write_text('{\n  "kind": "gowers",\n  oops\n}\n')
     with pytest.raises(ConfigError, match="line 3"):
         load_config(path)
-
-
-def test_config_hash_ignores_out_dir():
-    params = {"target": {"kind": "noise"}, "order": 2}
-    a = config_from_dict(base_config("gowers", params))
-    raw = base_config("gowers", params)
-    raw["out_dir"] = "/somewhere/else"
-    b = config_from_dict(raw)
-    assert a.digest() == b.digest()
 
 
 # ---------------------------------------------------------------------------
@@ -273,11 +265,9 @@ def test_class_distance_never_exceeds_zero_candidate():
 # ---------------------------------------------------------------------------
 
 def run_twice(raw: dict, tmp_path, use_cache=True):
-    cfg1 = dict(raw, out_dir=str(tmp_path / "run1"), use_cache=use_cache)
-    cfg2 = dict(raw, out_dir=str(tmp_path / "run2"), use_cache=use_cache)
-    r1 = run_experiment(config_from_dict(cfg1))
-    r2 = run_experiment(config_from_dict(cfg2))
-    return r1, r2
+    cfg = config_from_dict(raw)
+    return tuple(run_experiment(cfg, tmp_path / out, use_cache=use_cache)
+                 for out in ("run1", "run2"))
 
 
 def test_rerun_with_cache_is_byte_identical(tmp_path):
@@ -429,11 +419,11 @@ def test_cli_seed_override_changes_hash(tmp_path, capsys):
     assert ja != jb
 
 
-def run_cli(tmp_path, raw, out="out") -> int:
+def run_cli(tmp_path, raw, out="out", *options) -> int:
     """Run a config through the CLI under its kind's registered command."""
     command = KINDS[raw["kind"]].command or raw["kind"]
     return cli_main([command, "--config", write_config(tmp_path, raw),
-                     "--out", str(tmp_path / out)])
+                     "--out", str(tmp_path / out), *options])
 
 
 ROTATIONS = {
@@ -727,7 +717,10 @@ def test_cli_bad_param_value_exit_2(kind, overrides, field, tmp_path, capsys):
 # corpus_generate builds every entry before any is read: index + 1 entries
 # for a corpus target, budget - 1 for class B and C candidates; class A
 # scores budget candidates one at a time; a window longer than the budget
-# holds no signal (2**36 points would need 1 TiB for one complex signal)
+# holds no signal (2**36 points would need 1 TiB for one complex signal);
+# the seminorm recursion reaches H^(order-1) derivatives of the window;
+# decompose holds an atoms x window matrix and an atoms x atoms Gram; an
+# interpolation case draws ell points of its dimension
 @pytest.mark.parametrize("kind,params,end,field", [
     ("gowers", {"target": {"kind": "corpus", "family": "B", "ell": 2,
                            "index": 3_000_000, "count": 4_000_000},
@@ -738,6 +731,16 @@ def test_cli_bad_param_value_exit_2(kind, overrides, field, tmp_path, capsys):
                         "budget": 100_000_000}, 64, "budget"),
     ("gowers", {"target": {"kind": "constant"}, "order": 2}, 2**36, "window"),
     ("correlate", ROTATIONS, 2**36, "window"),
+    ("gowers", {"target": {"kind": "noise"}, "order": 4, "H": 300}, 1024, "H"),
+    ("decompose", {"target": {"kind": "noise"}, "order": 2, "epsilon": 0.1,
+                   "dictionary": {"step": 1, "Q": 262144, "budget": 1000000}},
+     4096, "dictionary"),
+    ("decompose", {"target": {"kind": "noise"}, "order": 2, "epsilon": 0.1,
+                   "dictionary": {"step": 1, "Q": 65536, "budget": 100000}},
+     64, "dictionary"),
+    ("interpolate-check", {"cases": 100_000_000}, 8, "cases"),
+    ("interpolate-check", {"cases": 1, "dimension": 1_000_000_000}, 8,
+     "dimension"),
 ])
 def test_cli_corpus_over_budget_exit_3(kind, params, end, field, tmp_path,
                                        capsys):
@@ -748,6 +751,29 @@ def test_cli_corpus_over_budget_exit_3(kind, params, end, field, tmp_path,
     assert run_cli(tmp_path, raw) == 3
     err = capsys.readouterr().err
     assert err.startswith("budget error") and f".{where}:" in err
+
+
+# each at exactly DEFAULT_QUAD_BUDGET cells: 64^2 and 16^3 derivatives of
+# 4,096 points, a Gram of 4,096^2 and an atom matrix of 4,096 x 4,096, and
+# 2,048 interpolation cases of 8 x 896 + 1,024 cells
+@pytest.mark.parametrize("kind,params,end", [
+    ("gowers", {"target": {"kind": "noise"}, "order": 3, "H": 64}, 4096),
+    ("anti-uniformity", {"a": {"kind": "noise"}, "b": {"kind": "noise"},
+                         "order": 4, "H": 16}, 4096),
+    ("decompose", {"target": {"kind": "noise"}, "order": 2, "epsilon": 0.1,
+                   "dictionary": {"step": 2, "Q": 64}}, 256),
+    ("decompose", {"target": {"kind": "noise"}, "order": 2, "epsilon": 0.1,
+                   "dictionary": {"step": 1, "Q": 4096}}, 4096),
+    ("interpolate-check", {"cases": 2048, "ell": 8, "dimension": 896}, 8),
+])
+def test_work_bounds_admit_the_budget_exactly(kind, params, end):
+    config_from_dict(base_config(kind, params, end=end))
+    over = dict(params, **{key: value + 1 for key, value in params.items()
+                           if key in ("H", "cases")})
+    if kind == "decompose":
+        over["dictionary"] = dict(params["dictionary"], Q=params["dictionary"]["Q"] + 1)
+    with pytest.raises(BudgetError):
+        config_from_dict(base_config(kind, over, end=end))
 
 
 # a class-C skew spike is drawn off both ends of the window; on 2 points the
@@ -906,12 +932,12 @@ def test_cli_bad_subsequence_exit_2(subsequence, tmp_path, capsys):
 ])
 def test_cli_bad_top_level_value_exit_2(field, value, tmp_path, capsys,
                                         monkeypatch):
-    monkeypatch.chdir(tmp_path)  # no --out: out_dir would override it
+    monkeypatch.chdir(tmp_path)  # no --out: a run that passed would write here
     params, end = KIND_CONFIGS["gowers"]
     raw = base_config("gowers", params, end=end)
     path = tmp_path / "config.json"
     if field == "encoding":
-        raw["out_dir"] = "résultats"
+        raw["params"] = dict(params, target={"kind": "csv", "path": "résultats.csv"})
         path.write_bytes(json.dumps(raw, ensure_ascii=False).encode(value))
     elif field == "top level":
         path.write_text(json.dumps(value))
@@ -922,6 +948,8 @@ def test_cli_bad_top_level_value_exit_2(field, value, tmp_path, capsys,
     err = capsys.readouterr().err
     assert "config error" in err
     assert {"encoding": "UTF-8",
+            "out_dir": "unknown field 'out_dir'",
+            "use_cache": "unknown field 'use_cache'",
             "params": "params: missing required field 'order'",
             "top level": "top level must be an object"}.get(field, field) in err
 
@@ -1045,6 +1073,26 @@ def test_runs_leave_only_cache_entries(tmp_path, capsys, monkeypatch):
     assert sorted(p.name for p in (cache / digest).iterdir()) == names
 
 
+def test_a_miss_that_loses_the_rename_serves_the_cached_entry(tmp_path,
+                                                             monkeypatch):
+    """When a concurrent run of the same config renames its stage into the
+    cache first, a miss copies that entry's bytes out and removes its own
+    stage."""
+    replace = experiments.os.replace
+
+    def lose(stage, entry):  # the winner's entry differs in one file
+        shutil.copytree(stage, entry)
+        (Path(entry) / "vdc.json").write_text("winner\n")
+        replace(stage, entry)  # raises: the entry is a nonempty directory
+
+    monkeypatch.setattr(experiments.os, "replace", lose)
+    raw = base_config("vdc-check", {"target": {"kind": "alternating"}, "H": 16})
+    result = run_experiment(config_from_dict(raw), tmp_path / "out")
+    assert not result.cache_hit
+    assert (tmp_path / "out" / "vdc.json").read_text() == "winner\n"
+    assert [p.name for p in (tmp_path / "cache").iterdir()] == [result.config_hash]
+
+
 def test_uncached_run_leaves_nothing_behind(tmp_path, capsys, monkeypatch):
     """With the cache off each artifact is written once, straight into the
     output directory: no stage in tempfile's directory and no copy, and the
@@ -1058,7 +1106,7 @@ def test_uncached_run_leaves_nothing_behind(tmp_path, capsys, monkeypatch):
                         lambda src, dst: copies.append(dst) or copyfile(src, dst))
     params, end = KIND_CONFIGS["decompose"]
     raw = base_config("decompose", params, end=end)
-    assert run_cli(tmp_path, dict(raw, use_cache=False)) == 0
+    assert run_cli(tmp_path, raw, "out", "--no-cache") == 0
     assert not (tmp_path / "cache").exists()
     assert list(scratch.iterdir()) == [] and copies == []
     assert run_cli(tmp_path, raw, "cached") == 0
