@@ -11,14 +11,13 @@ is advisory.
 
 from __future__ import annotations
 
-import ctypes
 import itertools
 from dataclasses import dataclass
 from typing import Tuple, Union
 
 import numpy as np
 
-from ._threads import run_blocks, usable_cpus
+from ._threads import run_blocks
 from .errors import BudgetError
 # eval_nilsequence stays bound for perfbench's tracer self-test, which reads it
 from .nilmanifolds import (BracketPhase, Dictionary, PolynomialPhase, atom_rows,
@@ -120,28 +119,10 @@ _SINGULAR_RTOL = 1e-12
 GRAM_ROWS = 128  # atoms per row block of the Gram product
 
 
-def _blas_threads() -> int:
-    """The thread count of the OpenBLAS in numpy's wheels, else 0."""
-    try:
-        lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)  # links the BLAS
-        return lib.scipy_openblas_get_num_threads64_()
-    except (OSError, AttributeError):  # not loadable, or another BLAS
-        return 0
-
-
-def _gram_workers(blocks: int) -> int:
-    """A thread per row block and CPU, beside a single-threaded BLAS only:
-    a multi-threaded BLAS spreads each product over the CPUs itself, and
-    workers beside it would only contend with its threads."""
-    if blocks < 2 or _blas_threads() != 1:
-        return 1
-    return min(blocks, usable_cpus())
-
-
 def _solve_projection(a: Signal, psi: np.ndarray, ridge: float):
     """Coefficients, their combination and the exactly Hermitian Gram, whose
-    row blocks run on :func:`_gram_workers`: the same floats for any count.
-    Beside the Gram it allocates a conjugate row block per worker, and adds
+    row blocks run on :func:`run_blocks`: the same floats for any count.
+    Beside the Gram it holds a conjugate row block per worker, and adds
     the ridge to the Gram's diagonal in place: only LAPACK copies the Gram."""
     n, m = a.window.length, len(psi)
     gram, rhs = np.empty((m, m), dtype=complex), np.empty(m, dtype=complex)
@@ -152,9 +133,8 @@ def _solve_projection(a: Signal, psi: np.ndarray, ridge: float):
         np.matmul(conj, psi[i:].T, out=rows)  # releases the GIL
         rows /= n
         rhs[i:i + GRAM_ROWS] = conj @ a.values / n
-    # the buffers' memory goes back when run_blocks returns, before the solve
-    run_blocks(block, starts, [np.empty((min(m, GRAM_ROWS), n), dtype=complex)
-                               for _ in range(_gram_workers(len(starts)))])
+    run_blocks(block, starts,
+               lambda: np.empty((min(m, GRAM_ROWS), n), dtype=complex), blas=True)
     # mirror the upper triangle: a product alone is not bitwise Hermitian
     np.copyto(gram, np.conj(gram).T, where=np.tri(m, k=-1, dtype=bool))
     np.fill_diagonal(gram, gram.diagonal().real)

@@ -586,6 +586,10 @@ def _parse_correlate(params: dict, window: Window, where: str):
         except ValueError as exc:
             raise ConfigError(f"{where}.grid: {exc}") from exc
     query = _query_from_params(params, where)
+    # a term combination's build costs about 1,650 cells (56 us at 34 ns a
+    # cell), charged as 2,048, and its read one cell per window point
+    _check_cells(math.prod(len(obs.terms) for obs in query.observables),
+                 window.length + 2048, f"{where}.observables", "term combinations")
 
     def run(seed: int) -> dict:
         signal = (correlate_exact(query, window) if quadrature is None
@@ -639,6 +643,7 @@ def _parse_vdc(params: dict, window: Window, where: str):
     H = _config_int(params["H"], f"{where}.H")
     if not 1 <= H < window.length:
         raise ConfigError(f"{where}.H: must lie in 1..{window.length - 1}")
+    _check_cells(H, window.length, f"{where}.H", "the shifted windows")
     return lambda seed, target: {"vdc.json": asdict(vdc_defect(target.values, H))}
 
 

@@ -38,7 +38,7 @@ from typing import Sequence, Tuple, Union
 import numpy as np
 
 from ._exact import ExactPoly, mod1
-from ._threads import run_blocks, usable_cpus
+from ._threads import run_blocks
 from .errors import AliasingError, BudgetError
 from .nilmanifolds import (BracketPhase, HeisenbergElement,
                            HeisenbergObservable, HeisenbergOrbit,
@@ -628,9 +628,8 @@ def correlate_numeric(q: CorrelationQuery, w: Window, quad: QuadratureSpec,
     shapes = [(rows * max(d, 2) * cells, np.intp), ((rows, d, cells), float),
               ((rows, cells), float), ((rows, cells), float),
               ((rows, cells), complex), ((rows, cells), complex)]
-    run_blocks(block, blocks, [
-        tuple(np.empty(shape, dtype=dtype) for shape, dtype in shapes)
-        for _ in range(min(len(blocks), usable_cpus()))])
+    run_blocks(block, blocks, lambda: tuple(np.empty(shape, dtype=dtype)
+                                            for shape, dtype in shapes))
     return Signal(w, values)
 
 

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -29,9 +30,9 @@ from nilseqlab import (
     eval_nilsequence,
     inner_product,
 )
-from nilseqlab import decomposition
-from nilseqlab.decomposition import (GRAM_ROWS, _gram_workers, _solve_projection,
-                                      atom_matrix)
+from nilseqlab import _threads
+from nilseqlab._threads import run_blocks
+from nilseqlab.decomposition import GRAM_ROWS, _solve_projection, atom_matrix
 from nilseqlab.nilmanifolds import (BracketPhase, Dictionary, HeisenbergElement,
                                     HeisenbergObservable, HeisenbergOrbit,
                                     heis_pow, heis_reduce)
@@ -173,7 +174,7 @@ def test_threaded_gram_matches_sequential_oracle(spec, length, cpus,
     w = Window(0, length)
     psi = atom_matrix(build_dictionary(spec), w)
     target, ridge = _unimodular(w, 5), spec.resolved_ridge(len(psi))
-    monkeypatch.setattr(decomposition, "_blas_threads", lambda: 1)
+    monkeypatch.setattr(_threads, "_blas_threads", lambda: 1)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
                         raising=False)
     threads, interval = threading.active_count(), sys.getswitchinterval()
@@ -205,8 +206,8 @@ def test_step2_decompose_peak_memory(blas):
     code = (
         "import re, numpy as np\n"
         "from nilseqlab import (DictionarySpec, GowersParams, Signal, Window,\n"
-        "                       decompose, decomposition)\n"
-        f"decomposition._blas_threads = lambda: {blas}\n"
+        "                       _threads, decompose)\n"
+        f"_threads._blas_threads = lambda: {blas}\n"
         "w = Window(0, 4096)\n"
         "rng = np.random.default_rng(1)\n"
         "a = Signal(w, np.exp(2j * np.pi * rng.random(w.length)), 1.0)\n"
@@ -224,24 +225,54 @@ def test_step2_decompose_peak_memory(blas):
     assert float(run.stdout) <= 110
 
 
+def _buffers_made(blocks: int, blas: bool) -> int:
+    """The buffers run_blocks makes for ``blocks`` starts.  It must make them
+    all before any block runs, never hand one to two running blocks, and run
+    every block on the calling thread when it makes one."""
+    made, ran, held = [], [], set()
+    lock = threading.Lock()
+
+    def new_buffer() -> int:
+        made.append(len(made))
+        return made[-1]
+
+    def block(start: int, buffer: int) -> None:
+        with lock:
+            assert buffer not in held
+            held.add(buffer)
+            ran.append((start, len(made), threading.get_ident()))
+        time.sleep(0.001)  # let the other workers take their blocks
+        with lock:
+            held.remove(buffer)
+
+    run_blocks(block, range(blocks), new_buffer, blas)
+    assert sorted(start for start, _, _ in ran) == list(range(blocks))
+    assert {count for _, count, _ in ran} == {len(made)}
+    if len(made) == 1:
+        assert {ident for _, _, ident in ran} == {threading.get_ident()}
+    return len(made)
+
+
 @pytest.mark.parametrize("blas,blocks,cpus,workers", [
     (1, 8, 2, 2), (1, 8, 16, 8), (1, 1, 2, 1),  # one block runs inline
     (2, 8, 2, 1), (0, 8, 2, 1),  # a BLAS with threads, or one that won't say
 ])
 def test_gram_workers_only_beside_a_single_threaded_blas(blas, blocks, cpus,
                                                          workers, monkeypatch):
-    monkeypatch.setattr(decomposition, "_blas_threads", lambda: blas)
+    monkeypatch.setattr(_threads, "_blas_threads", lambda: blas)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
                         raising=False)
-    assert _gram_workers(blocks) == workers
+    assert _buffers_made(blocks, blas=True) == workers
+    # blocks that call no BLAS (the numeric engine's) take a thread per CPU
+    assert _buffers_made(blocks, blas=False) == min(blocks, cpus)
     # without an affinity mask (not Linux) every CPU counts
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-    assert _gram_workers(blocks) == workers
+    assert _buffers_made(blocks, blas=True) == workers
 
 
 def test_blas_threads_reads_the_blas_numpy_links():
-    code = ("from nilseqlab.decomposition import _blas_threads; "
+    code = ("from nilseqlab._threads import _blas_threads; "
             "print(_blas_threads())")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     counts = []

@@ -720,7 +720,9 @@ def test_cli_bad_param_value_exit_2(kind, overrides, field, tmp_path, capsys):
 # holds no signal (2**36 points would need 1 TiB for one complex signal);
 # the seminorm recursion reaches H^(order-1) derivatives of the window;
 # decompose holds an atoms x window matrix and an atoms x atoms Gram; an
-# interpolation case draws ell points of its dimension
+# interpolation case draws ell points of its dimension; correlate builds
+# every term combination (4 observables of 20 terms: 160,000) and vdc-check
+# reads the window once per shift
 @pytest.mark.parametrize("kind,params,end,field", [
     ("gowers", {"target": {"kind": "corpus", "family": "B", "ell": 2,
                            "index": 3_000_000, "count": 4_000_000},
@@ -741,6 +743,12 @@ def test_cli_bad_param_value_exit_2(kind, overrides, field, tmp_path, capsys):
     ("interpolate-check", {"cases": 100_000_000}, 8, "cases"),
     ("interpolate-check", {"cases": 1, "dimension": 1_000_000_000}, 8,
      "dimension"),
+    ("correlate", dict(ROTATIONS,
+                       observables=[[{"k": [k]} for k in range(1, 21)]] * 4,
+                       iterates=[[[0, 1], [0], [0, 2], [0]],
+                                 [[0], [0, 1], [0], [0, 2]]]),
+     16, "observables"),
+    ("vdc-check", {"target": {"kind": "noise"}, "H": 400}, 2**20, "H"),
 ])
 def test_cli_corpus_over_budget_exit_3(kind, params, end, field, tmp_path,
                                        capsys):
@@ -754,8 +762,9 @@ def test_cli_corpus_over_budget_exit_3(kind, params, end, field, tmp_path,
 
 
 # each at exactly DEFAULT_QUAD_BUDGET cells: 64^2 and 16^3 derivatives of
-# 4,096 points, a Gram of 4,096^2 and an atom matrix of 4,096 x 4,096, and
-# 2,048 interpolation cases of 8 x 896 + 1,024 cells
+# 4,096 points, a Gram of 4,096^2 and an atom matrix of 4,096 x 4,096,
+# 2,048 interpolation cases of 8 x 896 + 1,024 cells, 64^2 term combinations
+# of 2,048 + 2,048 cells, and 2,048 shifts of 8,192 points
 @pytest.mark.parametrize("kind,params,end", [
     ("gowers", {"target": {"kind": "noise"}, "order": 3, "H": 64}, 4096),
     ("anti-uniformity", {"a": {"kind": "noise"}, "b": {"kind": "noise"},
@@ -765,6 +774,10 @@ def test_cli_corpus_over_budget_exit_3(kind, params, end, field, tmp_path,
     ("decompose", {"target": {"kind": "noise"}, "order": 2, "epsilon": 0.1,
                    "dictionary": {"step": 1, "Q": 4096}}, 4096),
     ("interpolate-check", {"cases": 2048, "ell": 8, "dimension": 896}, 8),
+    ("correlate", dict(ROTATIONS, observables=[
+        [{"k": [k]} for k in range(1, 65)], [{"k": [-k]} for k in range(1, 65)]]),
+     2048),
+    ("vdc-check", {"target": {"kind": "noise"}, "H": 2048}, 8192),
 ])
 def test_work_bounds_admit_the_budget_exactly(kind, params, end):
     config_from_dict(base_config(kind, params, end=end))
@@ -772,6 +785,9 @@ def test_work_bounds_admit_the_budget_exactly(kind, params, end):
                            if key in ("H", "cases")})
     if kind == "decompose":
         over["dictionary"] = dict(params["dictionary"], Q=params["dictionary"]["Q"] + 1)
+    if kind == "correlate":  # 65 x 64 combinations
+        first, second = params["observables"]
+        over["observables"] = [first + [{"k": [65]}], second]
     with pytest.raises(BudgetError):
         config_from_dict(base_config(kind, over, end=end))
 
