@@ -35,7 +35,8 @@ from .signals import (Signal, Window, constant_signal, density_seminorm,
                       read_csv, write_csv)
 from .systems import (CLASS_MAX_ELL, DEFAULT_QUAD_BUDGET, AffineToralSystem,
                       CorrelationQuery, QuadratureSpec, ToralMap, TrigObservable,
-                      corpus_generate, correlate_exact, correlate_numeric)
+                      corpus_generate, correlate_exact, correlate_numeric,
+                      sample_degree)
 from .uniformity import GowersParams, anti_uniformity_ratio, ghk_seminorm, vdc_defect
 
 CACHE_ENV = "NILSEQLAB_CACHE_DIR"
@@ -94,17 +95,17 @@ class ExperimentKind:
     """Schema, parser and CLI entry of one experiment kind.
 
     ``signals`` names the params that hold signal specs.  ``parse(params,
-    window, where)`` reads every other param, checked against the window, and
-    returns the kind's runner, a closure over the values read, or raises
+    window, where, work)`` reads every other param, checked against the
+    window, charges each stage's cells to ``work[where.<field>]`` and returns
+    the kind's runner (a closure over the values read), or raises
     ``ConfigError`` naming ``where.<field>``; loading a config parses it once.
-    The runner ``run(seed, **signals)`` maps the seed and the built signals
-    (by keyword) to the artifacts, ``{file name: dict (JSON), Signal (CSV) or
-    list of CSV rows}``; ``command`` is the CLI spelling when it differs from
-    the kind.
+    ``run(seed, **signals)`` maps the seed and the built signals (by keyword)
+    to the artifacts, ``{file name: dict (JSON), Signal (CSV) or list of CSV
+    rows}``; ``command`` is the CLI spelling when it differs from the kind.
     """
 
     help: str
-    parse: Callable[[dict, Window, str], Callable[..., dict]]
+    parse: Callable[[dict, Window, str, dict], Callable[..., dict]]
     required: Tuple[str, ...]
     optional: Tuple[str, ...] = ()
     signals: Tuple[str, ...] = ()
@@ -114,13 +115,14 @@ class ExperimentKind:
 @dataclass(frozen=True, eq=False)
 class ExperimentConfig:
     """What is computed: the kind, window, params as written and seed (the
-    digest keys these), each signal param's builder and the kind's runner."""
+    digest keys these), the signals' builders, the runner and its cells."""
 
     kind: str
     window: Window
     params: dict
     builders: dict
     run: Callable[..., dict]
+    cells: int
     seed: int = 0
 
     def canonical(self) -> str:
@@ -155,21 +157,27 @@ def config_from_dict(raw: Mapping, source: str = "<config>") -> ExperimentConfig
         window = Window(start, end)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{source}.window: {exc}") from exc
-    _check_cells(1, window.length, f"{source}.window")  # a signal spans it
     seed = _config_int(raw.get("seed", 0), f"{source}.seed", low=0)
     spec = KINDS[kind]
     where = f"{source}.params"
     _require_keys(raw["params"], spec.required + spec.optional, spec.required,
                   where)
     params = dict(raw["params"])
-    builders = {name: parse_signal_spec(params[name], window, f"{where}.{name}")
-                for name in spec.signals}
+    work = {f"{source}.window": window.length}  # every signal spans it
+    builders = {name: parse_signal_spec(params[name], window, f"{where}.{name}",
+                                        work) for name in spec.signals}
+    run = spec.parse(params, window, where, work)
+    for field, n in work.items():  # in order, once the schema holds
+        if n > DEFAULT_QUAD_BUDGET:
+            raise BudgetError(f"{field}: {n} cells of work, over the budget "
+                              f"of {DEFAULT_QUAD_BUDGET} cells")
     return ExperimentConfig(
         kind=kind,
         window=window,
         params=params,
         builders=builders,
-        run=spec.parse(params, window, where),
+        run=run,
+        cells=sum(work.values()),
         seed=seed,
     )
 
@@ -206,20 +214,17 @@ def _config_class(params: Mapping, where: str) -> Tuple[str, int]:
     return family, ell
 
 
-def _check_cells(rows: int, columns: int, where: str, what: str = "signals") -> None:
-    """Refuse a run whose ``what`` holds more than ``DEFAULT_QUAD_BUDGET``
-    cells; ``corpus_generate`` builds all its entries before any is read."""
-    if rows * columns > DEFAULT_QUAD_BUDGET:
-        raise BudgetError(f"{where}: {what} of {rows} x {columns} cells, over "
-                          f"the budget of {DEFAULT_QUAD_BUDGET} cells")
+# a corpus entry or class candidate beside its window: class C at ell 4 takes
+# about 1 ms, 32,768 cells at the 34 ns a cell of an interpolation row
+ENTRY_CELLS = 32768
 
 
-def parse_signal_spec(spec: Mapping, window: Window,
-                      where: str) -> Callable[[np.random.Generator, int], Signal]:
+def parse_signal_spec(spec: Mapping, window: Window, where: str, work: dict
+                      ) -> Callable[[np.random.Generator, int], Signal]:
     """Read a signal spec, checked against the window, into its builder
     ``build(rng, seed) -> Signal``; only the builder allocates the window's
-    values.  Random kinds consume the generator; corpus kinds reuse the
-    experiment seed unless the spec pins its own."""
+    values, and ``work`` takes any cost beyond them.  Random kinds consume the
+    generator; corpus kinds reuse the experiment seed unless pinned."""
     if not isinstance(spec, Mapping) or "kind" not in spec:
         raise ConfigError(f"{where}: signal spec must be an object with a 'kind'")
     kind = spec["kind"]
@@ -264,9 +269,9 @@ def parse_signal_spec(spec: Mapping, window: Window,
         variant = spec.get("variant", "mixed")
         if variant not in ("mixed", "rotations"):
             raise ConfigError(f"{where}.variant: must be 'mixed' or 'rotations'")
-        _check_cells(index + 1, window.length, f"{where}.index")
         # entry i depends only on the draws before it, so the entries past
         # the index are never drawn
+        work[f"{where}.index"] = (index + 1) * (window.length + ENTRY_CELLS)
         return lambda rng, seed: corpus_generate(
             family, ell, seed if pinned is None else pinned, window,
             count=index + 1, freq_grid=grid, variant=variant)[index].signal
@@ -496,10 +501,22 @@ def _write_artifact(path: Path, payload) -> None:
             csv.writer(fh).writerows(payload)
 
 
+# validate_system runs at load, before any work is charged; at these caps it
+# takes about 20 ms (8 dense unipotent maps of dimension 8), at dimension 80
+# over a second
+MAX_DIMENSION = 8
+MAX_MAPS = 8
+
+
 def _system_from_config(raw: Mapping, where: str) -> AffineToralSystem:
     _require_keys(raw, ("dimension", "transformations"),
                   ("dimension", "transformations"), where)
     try:
+        dimension = _config_int(raw["dimension"], "dimension")
+        if dimension > MAX_DIMENSION:
+            raise ValueError(f"dimension exceeds {MAX_DIMENSION}")
+        if len(raw["transformations"]) > MAX_MAPS:
+            raise ValueError(f"more than {MAX_MAPS} transformations")
         for t in raw["transformations"]:
             _require_keys(t, ("matrix", "alpha"), ("matrix", "alpha"),
                           "transformations")
@@ -510,8 +527,7 @@ def _system_from_config(raw: Mapping, where: str) -> AffineToralSystem:
                            for x in t["alpha"]))
             for t in raw["transformations"]
         )
-        return AffineToralSystem(_config_int(raw["dimension"], "dimension"),
-                                 maps)
+        return AffineToralSystem(dimension, maps)
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"{where}: {exc}") from exc
 
@@ -550,7 +566,8 @@ def _query_from_params(params: Mapping, where: str) -> CorrelationQuery:
     return query
 
 
-def _gowers_params(params: dict, window: Window, where: str) -> GowersParams:
+def _gowers_params(params: dict, window: Window, where: str,
+                   work: dict) -> GowersParams:
     # H >= 1 here, before GowersParams refuses it with a bare ValueError
     H, L = (None if params.get(k) is None
             else _config_int(params[k], f"{where}.{k}", low=1) for k in ("H", "L"))
@@ -561,18 +578,17 @@ def _gowers_params(params: dict, window: Window, where: str) -> GowersParams:
     except ValueError as exc:  # resolve checks H before L
         field = "L" if L is not None and (H or 1) < window.length else "H"
         raise ConfigError(f"{where}.{field}: {exc}") from exc
-    _check_cells(shifts ** (gowers.order - 1), window.length, f"{where}.H",
-                 "the recursion's leaf derivatives")
+    work[f"{where}.H"] = shifts ** (gowers.order - 1) * window.length  # leaves
     return gowers
 
 
-def _parse_gowers(params: dict, window: Window, where: str):
-    gowers = _gowers_params(params, window, where)
+def _parse_gowers(params: dict, window: Window, where: str, work: dict):
+    gowers = _gowers_params(params, window, where, work)
     return lambda seed, target: {
         "gowers_report.json": ghk_seminorm(target, gowers).to_json_dict()}
 
 
-def _parse_correlate(params: dict, window: Window, where: str):
+def _parse_correlate(params: dict, window: Window, where: str, work: dict):
     engine = params.get("engine", "exact")
     if engine not in ("exact", "numeric"):
         raise ConfigError(f"{where}.engine: must be 'exact' or 'numeric'")
@@ -586,10 +602,17 @@ def _parse_correlate(params: dict, window: Window, where: str):
         except ValueError as exc:
             raise ConfigError(f"{where}.grid: {exc}") from exc
     query = _query_from_params(params, where)
-    # a term combination's build costs about 1,650 cells (56 us at 34 ns a
-    # cell), charged as 2,048, and its read one cell per window point
-    _check_cells(math.prod(len(obs.terms) for obs in query.observables),
-                 window.length + 2048, f"{where}.observables", "term combinations")
+    d, maps = query.system.dimension, len(query.system.transformations)
+    terms = [len(obs.terms) for obs in query.observables]
+    # a slot sample takes a power and a product of size d + 1 a map, (d + 1)^3
+    # exact products of up to 2.3 us (64 cells at 34 ns); a term combination's
+    # build costs about 1,650 cells (56 us), charged as 2,048, and its read one
+    # a point; the numeric engine evaluates every term at every grid cell
+    samples = len(terms) * maps * (sample_degree(query) + 1)
+    work[f"{where}.iterates"] = samples * (d + 1) ** 3 * 64
+    work[f"{where}.observables"] = math.prod(terms) * (window.length + 2048)
+    if quadrature is not None:
+        work[f"{where}.grid"] = quadrature.grid_size ** d * window.length * sum(terms)
 
     def run(seed: int) -> dict:
         signal = (correlate_exact(query, window) if quadrature is None
@@ -599,8 +622,8 @@ def _parse_correlate(params: dict, window: Window, where: str):
     return run
 
 
-def _parse_decompose(params: dict, window: Window, where: str):
-    gowers = _gowers_params(params, window, where)
+def _parse_decompose(params: dict, window: Window, where: str, work: dict):
+    gowers = _gowers_params(params, window, where, work)
     epsilon = _config_real(params["epsilon"], f"{where}.epsilon", positive=True)
     try:  # decompose reports delta = (epsilon/16)^(2^order)
         (epsilon / 16.0) ** (2 ** gowers.order)
@@ -626,7 +649,7 @@ def _parse_decompose(params: dict, window: Window, where: str):
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{where}: {exc}") from exc
     atoms = dictionary.atom_count()  # the larger of the atom matrix and Gram
-    _check_cells(atoms, max(atoms, window.length), where, "an atom matrix or Gram")
+    work[where] = atoms * max(atoms, window.length)
 
     def run(seed: int, target: Signal) -> dict:
         try:
@@ -639,16 +662,16 @@ def _parse_decompose(params: dict, window: Window, where: str):
     return run
 
 
-def _parse_vdc(params: dict, window: Window, where: str):
+def _parse_vdc(params: dict, window: Window, where: str, work: dict):
     H = _config_int(params["H"], f"{where}.H")
     if not 1 <= H < window.length:
         raise ConfigError(f"{where}.H: must lie in 1..{window.length - 1}")
-    _check_cells(H, window.length, f"{where}.H", "the shifted windows")
+    work[f"{where}.H"] = H * window.length
     return lambda seed, target: {"vdc.json": asdict(vdc_defect(target.values, H))}
 
 
-def _parse_anti_uniformity(params: dict, window: Window, where: str):
-    gowers = _gowers_params(params, window, where)
+def _parse_anti_uniformity(params: dict, window: Window, where: str, work: dict):
+    gowers = _gowers_params(params, window, where, work)
 
     def run(seed: int, a: Signal, b: Signal) -> dict:
         report = anti_uniformity_ratio(a, b, gowers)
@@ -661,7 +684,7 @@ def _parse_anti_uniformity(params: dict, window: Window, where: str):
     return run
 
 
-def _parse_interpolate(params: dict, window: Window, where: str):
+def _parse_interpolate(params: dict, window: Window, where: str, work: dict):
     parsed = {name: _config_int(value, f"{where}.{name}", low=1)
               for name, value in params.items()}
     if not 2 <= parsed.get("ell", 2) <= 8:  # as torus_interpolate
@@ -670,8 +693,8 @@ def _parse_interpolate(params: dict, window: Window, where: str):
     dims = [parsed["dimension"]] if "dimension" in parsed else [1, 2, 3]
     # a case: ell points of the dimension, and a row as slow as 1024 cells
     per_case = max(ells) * max(dims) + 1024
-    _check_cells(1, per_case, f"{where}.dimension", "an interpolation case")
-    _check_cells(parsed["cases"], per_case, f"{where}.cases", "interpolation cases")
+    field = "dimension" if per_case > DEFAULT_QUAD_BUDGET else "cases"
+    work[f"{where}.{field}"] = parsed["cases"] * per_case
 
     def run(seed: int) -> dict:
         rng = np.random.default_rng(seed)
@@ -690,7 +713,7 @@ def _parse_interpolate(params: dict, window: Window, where: str):
     return run
 
 
-def _parse_class_distance(params: dict, window: Window, where: str):
+def _parse_class_distance(params: dict, window: Window, where: str, work: dict):
     family, ell = _config_class(params, where)
     values = {"L": window.length, "Q": 64, **params}
     budget, L, Q = (_config_int(values[name], f"{where}.{name}", low=1)
@@ -699,13 +722,13 @@ def _parse_class_distance(params: dict, window: Window, where: str):
         raise ConfigError(f"{where}.L: {L} exceeds the window length "
                           f"{window.length}")
     # budget candidates: for B and C, the zero sequence and budget - 1 entries
-    _check_cells(budget if family == "A" else max(budget - 1, 1), window.length,
-                 f"{where}.budget")
+    candidates = budget if family == "A" else max(budget - 1, 1)
+    work[f"{where}.budget"] = candidates * (window.length + ENTRY_CELLS)
     return lambda seed, target: {"class_distance.json": asdict(class_distance(
         target, family, ell, budget, L, seed=seed, freq_grid=Q))}
 
 
-def _parse_subsequence(params: dict, window: Window, where: str):
+def _parse_subsequence(params: dict, window: Window, where: str, work: dict):
     try:
         checkpoints = [_config_int(c, f"{where}.checkpoints")
                        for c in params["checkpoints"]]
@@ -728,6 +751,8 @@ def _parse_subsequence(params: dict, window: Window, where: str):
     if spec.kind == "arithmetic" and not (qN < 2**63 and -2**63 <= spec.r < 2**63 - qN):
         raise ConfigError(f"{where}: q*N + r must fit in int64 for N <= "
                           f"{max(checkpoints)}")
+    if spec.kind == "random-density":  # a draw per candidate 1, 2, ... below the end
+        work[where] = max(window.end - 1, 0)
 
     def run(seed: int, target: Signal) -> dict:
         try:

@@ -414,21 +414,25 @@ class CorrelationStructure:
             )
 
 
-def _slot_samples(q: CorrelationQuery) -> tuple:
-    """The exact slot maps (:func:`_slot_affines`) at ``n = 0..D``.
+def sample_degree(q: CorrelationQuery) -> int:
+    """The D of :func:`_slot_samples`: ``D = d max_j s_j`` with
+    ``s_j = sum_i deg p[i][j]``.
 
     Every slot map ``prod_i T_i^{p[i][j](n)}`` has matrix entries of degree
     at most ``(d-1) s_j`` and shift components of degree at most ``d s_j``
-    in n, where ``s_j = sum_i deg p[i][j]`` (``M^p = sum_{k<=d} C(p,k) K^k``
-    and the matrix block ``N^d`` of ``K^d`` is zero).  The samples at
-    ``n = 0..D`` with ``D = d max_j s_j`` therefore determine every entry,
+    in n (``M^p = sum_{k<=d} C(p,k) K^k`` and the matrix block ``N^d`` of
+    ``K^d`` is zero), so its samples at ``n = 0..D`` determine every entry,
     and every linear combination of entries, as a polynomial in n by
     interpolation.
     """
-    d = q.system.dimension
-    degree = d * max(sum(max(len(row[j]) - 1, 0) for row in q.iterates)
-                     for j in range(len(q.observables)))
-    return tuple(_slot_affines(q, n) for n in range(degree + 1))
+    return q.system.dimension * max(
+        sum(max(len(row[j]) - 1, 0) for row in q.iterates)
+        for j in range(len(q.observables)))
+
+
+def _slot_samples(q: CorrelationQuery) -> tuple:
+    """The exact slot maps (:func:`_slot_affines`) at ``n = 0..D``."""
+    return tuple(_slot_affines(q, n) for n in range(sample_degree(q) + 1))
 
 
 @lru_cache(maxsize=1)
@@ -517,13 +521,13 @@ def required_grid_size(q: CorrelationQuery, w: Window) -> int:
 
 
 def correlate_numeric(q: CorrelationQuery, w: Window, quad: QuadratureSpec,
-                      budget: int = DEFAULT_QUAD_BUDGET,
                       allow_aliased: bool = False) -> Signal:
     """Correlation sequence by grid quadrature of the raw integrand.
 
     Grid points are pushed through the affine maps (integer arithmetic for
     the matrix part) and the observables are evaluated at the transformed
-    points.  Refuses grids below the aliasing threshold unless
+    points.  Refuses more than ``DEFAULT_QUAD_BUDGET`` grid cells over the
+    window, and grids below the aliasing threshold unless
     ``allow_aliased=True`` is passed explicitly.  Every value equals the
     per-n quadrature (one ``np.exp`` row per n) bit for bit.
 
@@ -561,10 +565,9 @@ def correlate_numeric(q: CorrelationQuery, w: Window, quad: QuadratureSpec,
     d = q.system.dimension
     G = quad.grid_size
     cost = G**d * w.length
-    if cost > budget:
-        raise BudgetError(
-            f"quadrature cost G^d * |window| = {cost} exceeds budget {budget}"
-        )
+    if cost > DEFAULT_QUAD_BUDGET:
+        raise BudgetError(f"quadrature cost G^d * |window| = {cost} exceeds "
+                          f"budget {DEFAULT_QUAD_BUDGET}")
     needed = required_grid_size(q, w)
     if G < needed and not allow_aliased:
         raise AliasingError(

@@ -104,7 +104,7 @@ def test_build_signal_kinds():
     rng = np.random.default_rng(0)
 
     def build(spec, seed=0):
-        return build_signal(parse_signal_spec(spec, w, "target"), rng, seed)
+        return build_signal(parse_signal_spec(spec, w, "target", {}), rng, seed)
 
     lin = build({"kind": "linear_phase", "alpha": 0.25})
     assert np.allclose(lin.values[:4], [1, 1j, -1, -1j], atol=1e-12)
@@ -143,7 +143,7 @@ def test_load_allocates_no_signal(target):
 def test_spike_outside_window_rejected():
     with pytest.raises(ConfigError, match="target.positions: .* outside the window"):
         parse_signal_spec({"kind": "spike", "positions": [99]}, Window(0, 8),
-                          "target")
+                          "target", {})
 
 
 # ---------------------------------------------------------------------------
@@ -534,6 +534,18 @@ def test_cli_non_object_value_exit_2(kind, field, value, tmp_path, capsys):
 UNBOUNDED_TARGET = {"kind": "constant", "re": 2.0}
 
 
+# a dense unipotent map of dimension 8 (at MAX_DIMENSION)
+JORDAN8 = [[1 if j <= i else 0 for j in range(8)] for i in range(8)]
+
+
+def skew_copies(count: int) -> dict:
+    """``count`` copies of the skew map (x + 0.25, y + x), slots at n and n^2."""
+    return {"system": {"dimension": 2, "transformations": [
+                {"matrix": [[1, 0], [1, 1]], "alpha": [0.25, 0]}] * count},
+            "observables": [[{"k": [0, 1]}], [{"k": [0, -1]}]],
+            "iterates": [[[0, 1], [0, 0, 1]]] * count}
+
+
 @pytest.mark.parametrize("kind,overrides,field", [
     ("decompose", {"dictionary": {"step": 5, "Q": 8}}, "dictionary"),
     ("decompose", {"dictionary": {"step": 1, "Q": 8, "ridge": -1}}, "dictionary"),
@@ -700,6 +712,20 @@ UNBOUNDED_TARGET = {"kind": "constant", "re": 2.0}
     ("correlate", {"engine": "fast"}, "engine"),
     ("correlate", {"engine": "numeric"}, "grid"),
     ("subsequence-average", {"checkpoints": 5}, "checkpoints"),
+    # systems over MAX_MAPS maps or MAX_DIMENSION dimensions: 200 skew maps
+    # ran 7.1 s on 2 slots, one identity map of dimension 80 loaded in 1.1 s
+    ("correlate", skew_copies(200), "system"),
+    ("correlate", skew_copies(9), "system"),
+    ("correlate", {"system": {"dimension": 80, "transformations": [
+        {"matrix": [[int(i == j) for j in range(80)] for i in range(80)],
+         "alpha": [0] * 80}]},
+        "observables": [[{"k": [1] + [0] * 79}]], "iterates": [[[0, 1]]]},
+     "system"),
+    ("correlate", {"system": {"dimension": 9, "transformations": [
+        {"matrix": [[int(i == j) for j in range(9)] for i in range(9)],
+         "alpha": [0] * 9}]},
+        "observables": [[{"k": [1] + [0] * 8}]], "iterates": [[[0, 1]]]},
+     "system"),
 ])
 def test_cli_bad_param_value_exit_2(kind, overrides, field, tmp_path, capsys):
     params, end = KIND_CONFIGS[kind]
@@ -715,14 +741,18 @@ def test_cli_bad_param_value_exit_2(kind, overrides, field, tmp_path, capsys):
 
 
 # corpus_generate builds every entry before any is read: index + 1 entries
-# for a corpus target, budget - 1 for class B and C candidates; class A
-# scores budget candidates one at a time; a window longer than the budget
-# holds no signal (2**36 points would need 1 TiB for one complex signal);
-# the seminorm recursion reaches H^(order-1) derivatives of the window;
-# decompose holds an atoms x window matrix and an atoms x atoms Gram; an
-# interpolation case draws ell points of its dimension; correlate builds
-# every term combination (4 observables of 20 terms: 160,000) and vdc-check
-# reads the window once per shift
+# for a corpus target, budget - 1 for class B and C candidates, each about
+# 1 ms at class C ell 4 even on a 2-point window; class A scores budget
+# candidates one at a time; a window longer than the budget holds no signal
+# (2**36 points would need 1 TiB for one complex signal); the seminorm
+# recursion reaches H^(order-1) derivatives of the window; decompose holds
+# an atoms x window matrix and an atoms x atoms Gram; an interpolation case
+# draws ell points of its dimension; correlate builds every term
+# combination (4 observables of 20 terms: 160,000), samples the slot maps
+# D + 1 times (8 maps of dimension 8 at degree 4: D = 256) and the numeric
+# engine evaluates every term at every grid cell (2 x 64 terms on 2^24
+# cells); vdc-check reads the window once per shift; random-density draws
+# one number per candidate up to the window's end
 @pytest.mark.parametrize("kind,params,end,field", [
     ("gowers", {"target": {"kind": "corpus", "family": "B", "ell": 2,
                            "index": 3_000_000, "count": 4_000_000},
@@ -749,10 +779,28 @@ def test_cli_bad_param_value_exit_2(kind, overrides, field, tmp_path, capsys):
                                  [[0], [0, 1], [0], [0, 2]]]),
      16, "observables"),
     ("vdc-check", {"target": {"kind": "noise"}, "H": 400}, 2**20, "H"),
+    ("correlate", dict(ROTATIONS, engine="numeric", grid=16384, observables=[
+        [{"k": [k]} for k in range(1, 65)], [{"k": [-k]} for k in range(1, 65)]]),
+     1024, "grid"),
+    ("correlate", {"system": {"dimension": 8, "transformations": [
+        {"matrix": JORDAN8, "alpha": [0.25] + [0] * 7}] * 8},
+        "observables": [[{"k": [0] * 7 + [1]}], [{"k": [0] * 7 + [-1]}]],
+        "iterates": [[[0, 0, 0, 0, 1], [0, 1]]] * 8}, 64, "iterates"),
+    ("subsequence-average", {"target": {"kind": "constant"},
+                             "subsequence": {"kind": "random-density",
+                                             "density": 1e-300},
+                             "checkpoints": [4]}, (2**28, 2**28 + 16),
+     "subsequence"),
+    ("class-distance", {"target": {"kind": "noise"}, "family": "C", "ell": 4,
+                        "budget": 1000}, 2, "budget"),
+    ("gowers", {"target": {"kind": "corpus", "family": "C", "ell": 4,
+                           "index": 999, "count": 1000}, "order": 2}, 2,
+     "target.index"),
 ])
 def test_cli_corpus_over_budget_exit_3(kind, params, end, field, tmp_path,
                                        capsys):
-    raw = base_config(kind, params, end=end)
+    start, end = end if isinstance(end, tuple) else (0, end)
+    raw = base_config(kind, params, start=start, end=end)
     where = field if field == "window" else f"params.{field}"
     with pytest.raises(BudgetError, match=rf"<config>\.{where}"):
         config_from_dict(raw)
@@ -761,35 +809,75 @@ def test_cli_corpus_over_budget_exit_3(kind, params, end, field, tmp_path,
     assert err.startswith("budget error") and f".{where}:" in err
 
 
-# each at exactly DEFAULT_QUAD_BUDGET cells: 64^2 and 16^3 derivatives of
-# 4,096 points, a Gram of 4,096^2 and an atom matrix of 4,096 x 4,096,
-# 2,048 interpolation cases of 8 x 896 + 1,024 cells, 64^2 term combinations
-# of 2,048 + 2,048 cells, and 2,048 shifts of 8,192 points
-@pytest.mark.parametrize("kind,params,end", [
-    ("gowers", {"target": {"kind": "noise"}, "order": 3, "H": 64}, 4096),
+ROTATION_TERMS = [[{"k": [k]} for k in range(1, 65)],
+                  [{"k": [-k]} for k in range(1, 65)]]
+# 8 copies of a unipotent map of dimension 3 at 8 slots: the slot-0 iterate
+# degrees sum to 21, so D = 3 * 21 and the samples take 8 x 8 x 64 x 4^3
+# exact products, charged 64 cells each
+J3_SYSTEM = {"dimension": 3, "transformations": [
+    {"matrix": [[1, 0, 0], [1, 1, 0], [0, 1, 1]], "alpha": [0.25, 0, 0]}] * 8}
+J3_ITERATES = [[[0] * degree + [1]] + [[0, 1]] * 7
+               for degree in (4, 4, 4, 4, 4, 1, 0, 0)]
+J3_PARAMS = {"system": J3_SYSTEM, "observables": [[{"k": [0, 0, 1]}]] * 8,
+             "iterates": J3_ITERATES}
+
+
+# each at exactly DEFAULT_QUAD_BUDGET cells, and just over it with the
+# overrides: 64^2 and 16^3 derivatives of 4,096 points, a Gram of 4,096^2
+# and an atom matrix of 4,096 x 4,096, 2,048 interpolation cases of 8 x 896
+# + 1,024 cells and one case of 8 x (2^21 - 128) + 1,024 (over it, one case is
+# refused naming its dimension), 64^2 term combinations of 2,048 + 2,048 cells, 2,048 shifts of 8,192 points, 2^13 grid cells on 2^10
+# points for 2 terms, 2^18 exact products of the slot samples, 2^24
+# random-density draws, and 256 class candidates or corpus entries of
+# 32,768 + 32,768 cells
+WORK_EDGES = [
+    ("gowers", {"target": {"kind": "noise"}, "order": 3, "H": 64}, 4096,
+     {"H": 65}),
     ("anti-uniformity", {"a": {"kind": "noise"}, "b": {"kind": "noise"},
-                         "order": 4, "H": 16}, 4096),
+                         "order": 4, "H": 16}, 4096, {"H": 17}),
     ("decompose", {"target": {"kind": "noise"}, "order": 2, "epsilon": 0.1,
-                   "dictionary": {"step": 2, "Q": 64}}, 256),
+                   "dictionary": {"step": 2, "Q": 64}}, 256,
+     {"dictionary": {"step": 2, "Q": 65}}),
     ("decompose", {"target": {"kind": "noise"}, "order": 2, "epsilon": 0.1,
-                   "dictionary": {"step": 1, "Q": 4096}}, 4096),
-    ("interpolate-check", {"cases": 2048, "ell": 8, "dimension": 896}, 8),
-    ("correlate", dict(ROTATIONS, observables=[
-        [{"k": [k]} for k in range(1, 65)], [{"k": [-k]} for k in range(1, 65)]]),
-     2048),
-    ("vdc-check", {"target": {"kind": "noise"}, "H": 2048}, 8192),
-])
-def test_work_bounds_admit_the_budget_exactly(kind, params, end):
-    config_from_dict(base_config(kind, params, end=end))
-    over = dict(params, **{key: value + 1 for key, value in params.items()
-                           if key in ("H", "cases")})
-    if kind == "decompose":
-        over["dictionary"] = dict(params["dictionary"], Q=params["dictionary"]["Q"] + 1)
-    if kind == "correlate":  # 65 x 64 combinations
-        first, second = params["observables"]
-        over["observables"] = [first + [{"k": [65]}], second]
+                   "dictionary": {"step": 1, "Q": 4096}}, 4096,
+     {"dictionary": {"step": 1, "Q": 4097}}),
+    ("interpolate-check", {"cases": 2048, "ell": 8, "dimension": 896}, 8,
+     {"cases": 2049}),
+    ("correlate", dict(ROTATIONS, observables=ROTATION_TERMS), 2048,
+     {"observables": [ROTATION_TERMS[0] + [{"k": [65]}], ROTATION_TERMS[1]]}),
+    ("vdc-check", {"target": {"kind": "noise"}, "H": 2048}, 8192, {"H": 2049}),
+    ("interpolate-check", {"cases": 1, "ell": 8, "dimension": 2**21 - 128}, 8,
+     {"dimension": 2**21 - 127}),
+    ("correlate", dict(ROTATIONS, engine="numeric", grid=8192), 1024,
+     {"grid": 8193}),
+    ("correlate", J3_PARAMS, 16,
+     {"iterates": J3_ITERATES[:6] + [[[0, 1]] * 8] + J3_ITERATES[7:]}),
+    ("subsequence-average", {"target": {"kind": "constant"},
+                             "subsequence": {"kind": "random-density",
+                                             "density": 0.5},
+                             "checkpoints": [4]}, (2**24 - 15, 2**24 + 1),
+     {"window": (2**24 - 14, 2**24 + 2)}),
+    ("class-distance", {"target": {"kind": "noise"}, "family": "A", "ell": 2,
+                        "budget": 256}, 32768, {"budget": 257}),
+    ("gowers", {"target": {"kind": "corpus", "family": "A", "ell": 1,
+                           "index": 255, "count": 256}, "order": 2}, 32768,
+     {"target": {"kind": "corpus", "family": "A", "ell": 1, "index": 256,
+                 "count": 257}}),
+]
+
+
+# the ids of the first seven edges predate the overrides column
+@pytest.mark.parametrize("kind,params,end,over", [
+    pytest.param(*edge, id=f"{edge[0]}-params{i}-" + "-".join(
+        map(str, edge[2] if isinstance(edge[2], tuple) else [edge[2]])))
+    for i, edge in enumerate(WORK_EDGES)])
+def test_work_bounds_admit_the_budget_exactly(kind, params, end, over):
+    start, end = end if isinstance(end, tuple) else (0, end)
+    config_from_dict(base_config(kind, params, start=start, end=end))
+    start, end = over.pop("window", (start, end))
     with pytest.raises(BudgetError):
-        config_from_dict(base_config(kind, over, end=end))
+        config_from_dict(base_config(kind, dict(params, **over),
+                                     start=start, end=end))
 
 
 # a class-C skew spike is drawn off both ends of the window; on 2 points the

@@ -279,9 +279,10 @@ def test_numeric_refuses_aliased_grid():
 
 
 def test_numeric_budget_error():
+    # 64 points of 2^18 + 1 grid cells, just over DEFAULT_QUAD_BUDGET
     q = diagonal_query(rotation_system(0.1), [character((1,))])
     with pytest.raises(BudgetError, match="budget"):
-        correlate_numeric(q, Window(0, 64), QuadratureSpec(64), budget=1000)
+        correlate_numeric(q, Window(0, 64), QuadratureSpec(2**18 + 1))
 
 
 def test_numeric_constant_observables():
