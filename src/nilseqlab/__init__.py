@@ -41,7 +41,6 @@ from .systems import (  # noqa: F401
     CorpusEntry,
     CorrelationQuery,
     QuadratureSpec,
-    SystemValidation,
     ToralMap,
     TrigObservable,
     character,
@@ -53,7 +52,6 @@ from .systems import (  # noqa: F401
     required_grid_size,
     single_map_query,
     skew_spike_query,
-    validate_system,
 )
 from .decomposition import (  # noqa: F401
     DecompositionReport,

@@ -123,7 +123,8 @@ def _solve_projection(a: Signal, psi: np.ndarray, ridge: float):
     """Coefficients, their combination and the exactly Hermitian Gram, whose
     row blocks run on :func:`run_blocks`: the same floats for any count.
     Beside the Gram it holds a conjugate row block per worker, and adds
-    the ridge to the Gram's diagonal in place: only LAPACK copies the Gram."""
+    the ridge to the Gram's diagonal in place: only LAPACK copies the Gram.
+    A singular Gram raises ``np.linalg.LinAlgError``, a ``ValueError``."""
     n, m = a.window.length, len(psi)
     gram, rhs = np.empty((m, m), dtype=complex), np.empty(m, dtype=complex)
     starts = range(0, m, GRAM_ROWS)
@@ -141,17 +142,17 @@ def _solve_projection(a: Signal, psi: np.ndarray, ridge: float):
     diagonal = gram.diagonal().copy()
     gram += 0.0  # as in gram + ridge * I, whose sum turns -0.0 into +0.0
     gram.flat[::m + 1] += ridge  # the solve's system, formed in place
-    singular_msg = "Gram matrix is singular; pass a ridge parameter > 0"
     try:
         if ridge == 0.0:
             # rounding hides exact rank deficiency from the LU solver; the
             # Cholesky pivots of the positive semidefinite Gram expose it
             pivots = np.diagonal(np.linalg.cholesky(gram)).real ** 2
             if float(np.min(pivots)) < _SINGULAR_RTOL * float(np.max(pivots)):
-                raise ValueError(singular_msg)
+                raise np.linalg.LinAlgError("a Cholesky pivot is below tolerance")
         coeffs = np.linalg.solve(gram, rhs)
     except np.linalg.LinAlgError as exc:
-        raise ValueError(singular_msg) from exc
+        raise np.linalg.LinAlgError(
+            "Gram matrix is singular; pass a ridge parameter > 0") from exc
     finally:
         gram.flat[::m + 1] = diagonal
     return coeffs, coeffs @ psi, gram

@@ -35,8 +35,8 @@ from .signals import (Signal, Window, constant_signal, density_seminorm,
                       read_csv, write_csv)
 from .systems import (CLASS_MAX_ELL, DEFAULT_QUAD_BUDGET, AffineToralSystem,
                       CorrelationQuery, QuadratureSpec, ToralMap, TrigObservable,
-                      corpus_generate, correlate_exact, correlate_numeric,
-                      sample_degree)
+                      check_observables, corpus_generate, correlate_exact,
+                      correlate_numeric, sample_degree)
 from .uniformity import GowersParams, anti_uniformity_ratio, ghk_seminorm, vdc_defect
 
 CACHE_ENV = "NILSEQLAB_CACHE_DIR"
@@ -501,9 +501,9 @@ def _write_artifact(path: Path, payload) -> None:
             csv.writer(fh).writerows(payload)
 
 
-# validate_system runs at load, before any work is charged; at these caps it
-# takes about 20 ms (8 dense unipotent maps of dimension 8), at dimension 80
-# over a second
+# a system checks its maps when it is built, at load, before any work is
+# charged; at these caps that takes about 20 ms (8 dense unipotent maps of
+# dimension 8), at dimension 80 over a second
 MAX_DIMENSION = 8
 MAX_MAPS = 8
 
@@ -547,23 +547,17 @@ def _query_from_params(params: Mapping, where: str) -> CorrelationQuery:
             ))
             for obs in params["observables"]
         )
+        check_observables(system, observables)  # the query then checks iterates
         field = f"{where}.iterates"
         iterates = tuple(
             tuple(tuple(_config_int(c, field) for c in poly) for poly in row)
             for row in params["iterates"]
         )
-        query = CorrelationQuery(system, observables, iterates)
+        return CorrelationQuery(system, observables, iterates)
     except ConfigError:
         raise
     except (KeyError, TypeError, ValueError) as exc:
-        if "observable" in str(exc):  # a CorrelationQuery check of observables
-            field = terms
         raise ConfigError(f"{field}: {exc}") from exc
-    try:
-        query.require_valid()
-    except ValueError as exc:
-        raise ConfigError(f"{where}.system: {exc}") from exc
-    return query
 
 
 def _gowers_params(params: dict, window: Window, where: str,
@@ -606,11 +600,14 @@ def _parse_correlate(params: dict, window: Window, where: str, work: dict):
     terms = [len(obs.terms) for obs in query.observables]
     # a slot sample takes a power and a product of size d + 1 a map, (d + 1)^3
     # exact products of up to 2.3 us (64 cells at 34 ns); a term combination's
-    # build costs about 1,650 cells (56 us), charged as 2,048, and its read one
-    # a point; the numeric engine evaluates every term at every grid cell
-    samples = len(terms) * maps * (sample_degree(query) + 1)
-    work[f"{where}.iterates"] = samples * (d + 1) ** 3 * 64
-    work[f"{where}.observables"] = math.prod(terms) * (window.length + 2048)
+    # build costs about 1,650 cells (56 us), charged as 2,048, and up to 94
+    # cells more for each of its d + 1 columns at each of D + 1 samples,
+    # charged as 128, and its read one a point; the numeric engine evaluates
+    # every term at every grid cell
+    columns = (d + 1) * (sample_degree(query) + 1)
+    work[f"{where}.iterates"] = len(terms) * maps * columns * (d + 1) ** 2 * 64
+    work[f"{where}.observables"] = math.prod(terms) * (
+        window.length + 2048 + 128 * columns)
     if quadrature is not None:
         work[f"{where}.grid"] = quadrature.grid_size ** d * window.length * sum(terms)
 
@@ -652,11 +649,12 @@ def _parse_decompose(params: dict, window: Window, where: str, work: dict):
     work[where] = atoms * max(atoms, window.length)
 
     def run(seed: int, target: Signal) -> dict:
-        try:
+        try:  # known only once the target and atoms are built
             report = decompose(target, epsilon, dictionary, gowers)
-        except ValueError as exc:  # known only once the target and atoms are built
-            field = "dictionary.ridge" if "Gram" in str(exc) else "target"
-            raise ConfigError(f"params.{field}: {exc}") from exc
+        except np.linalg.LinAlgError as exc:  # a singular Gram
+            raise ConfigError(f"params.dictionary.ridge: {exc}") from exc
+        except ValueError as exc:  # the target's sup-norm
+            raise ConfigError(f"params.target: {exc}") from exc
         return {"decomposition.json": report.to_json_dict(),
                 "a_st.csv": report.a_st, "a_er.csv": report.a_er}
     return run

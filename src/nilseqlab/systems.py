@@ -168,7 +168,15 @@ def map_power(tm: ToralMap, p: int) -> Matrix:
 
 @dataclass(frozen=True)
 class AffineToralSystem:
-    """Finitely many affine torus maps intended to commute pairwise."""
+    """Finitely many affine torus maps, unipotent and pairwise commuting.
+
+    Construction refuses any other maps with one ``ValueError`` that names
+    every violation.  Commutation of ``x -> A_i x + a_i`` and
+    ``x -> A_j x + a_j`` on the torus means ``A_i A_j = A_j A_i`` exactly and
+    ``A_i a_j + a_i = A_j a_i + a_j (mod 1)``: the two compositions agree.
+    Haar measure is preserved automatically: a unipotent integer matrix has
+    determinant 1.
+    """
 
     dimension: int
     transformations: Tuple[ToralMap, ...]
@@ -182,45 +190,25 @@ class AffineToralSystem:
         for tm in maps:
             if tm.dimension != self.dimension:
                 raise ValueError("transformation dimension mismatch")
+        violations = [f"transformation {idx}: matrix is not unipotent"
+                      for idx, tm in enumerate(maps) if not is_unipotent(tm)]
+        d = self.dimension
+        affines = [_affine(tm) for tm in maps]
+        for i, j in itertools.combinations(range(len(affines)), 2):
+            ij = _mat_mul(affines[i], affines[j])
+            ji = _mat_mul(affines[j], affines[i])
+            if any(x[:d] != y[:d] for x, y in zip(ij, ji)):
+                violations.append(f"pair ({i}, {j}): matrices do not commute")
+            elif any((x[d] - y[d]) % 1 for x, y in zip(ij, ji)):
+                violations.append(f"pair ({i}, {j}): affine parts differ mod 1")
+        if violations:
+            raise ValueError("invalid system: " + "; ".join(violations))
         object.__setattr__(self, "transformations", maps)
 
     @staticmethod
     def from_pairs(dimension: int, pairs: Sequence) -> "AffineToralSystem":
         maps = tuple(ToralMap(_as_int_matrix(m), tuple(a)) for m, a in pairs)
         return AffineToralSystem(dimension, maps)
-
-
-@dataclass(frozen=True)
-class SystemValidation:
-    valid: bool
-    violations: Tuple[str, ...]
-
-
-@lru_cache(maxsize=256)
-def validate_system(s: AffineToralSystem) -> SystemValidation:
-    """Check unipotency and pairwise commutation; never raises.
-
-    Commutation of ``x -> A_i x + a_i`` and ``x -> A_j x + a_j`` on the
-    torus means ``A_i A_j = A_j A_i`` exactly and
-    ``A_i a_j + a_i = A_j a_i + a_j (mod 1)``: the two compositions agree.
-    Haar measure is preserved automatically: a unipotent integer matrix has
-    determinant 1.
-    """
-    violations: list[str] = []
-    for idx, tm in enumerate(s.transformations):
-        if not is_unipotent(tm):
-            violations.append(f"transformation {idx}: matrix is not unipotent")
-    d = s.dimension
-    affines = [_affine(tm) for tm in s.transformations]
-    for i, j in itertools.combinations(range(len(affines)), 2):
-        ij = _mat_mul(affines[i], affines[j])
-        ji = _mat_mul(affines[j], affines[i])
-        if any(x[:d] != y[:d] for x, y in zip(ij, ji)):
-            violations.append(f"pair ({i}, {j}): matrices do not commute")
-            continue
-        if any((x[d] - y[d]) % 1 for x, y in zip(ij, ji)):
-            violations.append(f"pair ({i}, {j}): affine parts differ mod 1")
-    return SystemValidation(valid=not violations, violations=tuple(violations))
 
 
 @dataclass(frozen=True)
@@ -254,6 +242,17 @@ def character(freq: Sequence[int], coeff: complex = 1.0) -> TrigObservable:
     return TrigObservable(((tuple(int(v) for v in freq), complex(coeff)),))
 
 
+def check_observables(system: AffineToralSystem,
+                      observables: Sequence[TrigObservable]) -> None:
+    """Refuse no observables, or one whose frequencies do not have the
+    system's dimension."""
+    if not observables:
+        raise ValueError("need at least one observable")
+    for o in observables:
+        if o.dimension != system.dimension:
+            raise ValueError("observable frequency dimension mismatch")
+
+
 @dataclass(frozen=True)
 class QuadratureSpec:
     """Equispaced product grid with ``grid_size`` points per dimension."""
@@ -280,11 +279,7 @@ class CorrelationQuery:
 
     def __post_init__(self) -> None:
         obs = tuple(self.observables)
-        if not obs:
-            raise ValueError("need at least one observable")
-        for o in obs:
-            if o.dimension != self.system.dimension:
-                raise ValueError("observable frequency dimension mismatch")
+        check_observables(self.system, obs)
         ell = len(self.system.transformations)
         iters = tuple(
             tuple(tuple(int(c) for c in poly) for poly in row)
@@ -302,13 +297,6 @@ class CorrelationQuery:
                     )
         object.__setattr__(self, "observables", obs)
         object.__setattr__(self, "iterates", iters)
-
-    def require_valid(self) -> None:
-        report = validate_system(self.system)
-        if not report.valid:
-            raise ValueError(
-                "invalid system: " + "; ".join(report.violations)
-            )
 
 
 def diagonal_query(system: AffineToralSystem,
@@ -386,13 +374,11 @@ class CorrelationStructure:
     order: atoms contribute at every n, the others only at the finitely many
     integers where their total frequency vanishes (spikes).  ``pushed``
     holds every component of every pushed term frequency, for the 2^127
-    guard; ``samples`` are the exact slot maps it was interpolated from
-    (:func:`_slot_samples`).
+    guard.
     """
 
     combinations: Tuple[TermCombination, ...]
     pushed: Tuple[ExactPoly, ...]
-    samples: tuple
 
     @property
     def atoms(self) -> Tuple[TermCombination, ...]:
@@ -415,19 +401,20 @@ class CorrelationStructure:
 
 
 def sample_degree(q: CorrelationQuery) -> int:
-    """The D of :func:`_slot_samples`: ``D = d max_j s_j`` with
-    ``s_j = sum_i deg p[i][j]``.
+    """The D of :func:`_slot_samples`: ``D = d max_{i,j} deg p[i][j]``.
 
-    Every slot map ``prod_i T_i^{p[i][j](n)}`` has matrix entries of degree
-    at most ``(d-1) s_j`` and shift components of degree at most ``d s_j``
-    in n (``M^p = sum_{k<=d} C(p,k) K^k`` and the matrix block ``N^d`` of
-    ``K^d`` is zero), so its samples at ``n = 0..D`` determine every entry,
-    and every linear combination of entries, as a polynomial in n by
-    interpolation.
+    A slot map ``prod_i T_i^{p[i][j](n)}`` is the sum over ``k_1, k_2, ...``
+    of ``prod_i C(p[i][j](n), k_i) K_i^(k_i)`` with ``K_i = M_i - I``
+    (:func:`map_power`).  The ``N_i = A_i - I`` commute and are nilpotent, so
+    they lower one flag of subspaces of ``Q^d``, and each ``K_i`` maps
+    ``Q^(d+1)`` into ``Q^d`` and lowers the same flag there: a product of any
+    d+1 of them is zero.  Every term with ``sum_i k_i > d`` vanishes, so every
+    entry of the slot map has degree at most ``d max_i deg p[i][j]`` in n, and
+    its samples at ``n = 0..D`` determine every entry, and every linear
+    combination of entries, as a polynomial in n by interpolation.
     """
     return q.system.dimension * max(
-        sum(max(len(row[j]) - 1, 0) for row in q.iterates)
-        for j in range(len(q.observables)))
+        0, *(len(poly) - 1 for row in q.iterates for poly in row))
 
 
 def _slot_samples(q: CorrelationQuery) -> tuple:
@@ -435,16 +422,13 @@ def _slot_samples(q: CorrelationQuery) -> tuple:
     return tuple(_slot_affines(q, n) for n in range(sample_degree(q) + 1))
 
 
-@lru_cache(maxsize=1)
 def correlation_structure(q: CorrelationQuery) -> CorrelationStructure:
     """Atoms and spike candidates of the query, computed once for all n.
 
     Every pushed frequency and phase is interpolated from
     :func:`_slot_samples`.  A combination whose total frequency vanishes at
-    all the samples vanishes identically.  The last query's structure is
-    kept, so a numeric correlation and its grid-size check build one.
+    all the samples vanishes identically.
     """
-    q.require_valid()
     samples = _slot_samples(q)
     d = q.system.dimension
     slots = []
@@ -468,7 +452,7 @@ def correlation_structure(q: CorrelationQuery) -> CorrelationStructure:
         polys = [ExactPoly.through(col) for col in zip(*totals)]
         combinations.append(
             TermCombination(const, polys[d], tuple(polys[:d])))
-    return CorrelationStructure(tuple(combinations), tuple(pushed), samples)
+    return CorrelationStructure(tuple(combinations), tuple(pushed))
 
 
 def correlate_exact(q: CorrelationQuery, w: Window) -> Signal:
@@ -526,10 +510,12 @@ def correlate_numeric(q: CorrelationQuery, w: Window, quad: QuadratureSpec,
 
     Grid points are pushed through the affine maps (integer arithmetic for
     the matrix part) and the observables are evaluated at the transformed
-    points.  Refuses more than ``DEFAULT_QUAD_BUDGET`` grid cells over the
-    window, and grids below the aliasing threshold unless
-    ``allow_aliased=True`` is passed explicitly.  Every value equals the
-    per-n quadrature (one ``np.exp`` row per n) bit for bit.
+    points.  Refuses more than ``DEFAULT_QUAD_BUDGET`` term evaluations,
+    ``G^d`` grid cells for every point of the window and every term of every
+    observable (the cells a config load charges), and grids below the
+    aliasing threshold unless ``allow_aliased=True`` is passed explicitly.
+    Every value equals the per-n quadrature (one ``np.exp`` row per n) bit
+    for bit.
 
     The window runs in blocks of ``max(1, BLOCK_CELLS // G^d)`` rows of
     ``G^d`` cells; larger blocks cost memory without saving time (blocks of
@@ -561,13 +547,12 @@ def correlate_numeric(q: CorrelationQuery, w: Window, quad: QuadratureSpec,
     ``coeff * exp``.  ``fval`` starts at 0 and ``prod`` at 1, which fixes
     the signs of zeros.
     """
-    structure = correlation_structure(q)
     d = q.system.dimension
     G = quad.grid_size
-    cost = G**d * w.length
+    cost = G**d * w.length * sum(len(obs.terms) for obs in q.observables)
     if cost > DEFAULT_QUAD_BUDGET:
-        raise BudgetError(f"quadrature cost G^d * |window| = {cost} exceeds "
-                          f"budget {DEFAULT_QUAD_BUDGET}")
+        raise BudgetError(f"quadrature cost G^d * |window| * terms = {cost} "
+                          f"exceeds budget {DEFAULT_QUAD_BUDGET}")
     needed = required_grid_size(q, w)
     if G < needed and not allow_aliased:
         raise AliasingError(
@@ -576,7 +561,7 @@ def correlate_numeric(q: CorrelationQuery, w: Window, quad: QuadratureSpec,
     # each slot's matrix mod G, (n, d, d), and shift mod 1, (n, d), over the
     # whole window, from the exact slot maps interpolated as polynomials in n
     ns = w.indices()
-    samples = structure.samples
+    samples = _slot_samples(q)
     mats, shifts = [], []
     for j in range(len(q.observables)):
         mats.append(np.moveaxis(np.array([

@@ -534,8 +534,10 @@ def test_cli_non_object_value_exit_2(kind, field, value, tmp_path, capsys):
 UNBOUNDED_TARGET = {"kind": "constant", "re": 2.0}
 
 
-# a dense unipotent map of dimension 8 (at MAX_DIMENSION)
+# a dense unipotent map of dimension 8 (at MAX_DIMENSION), and the
+# lower-bidiagonal one
 JORDAN8 = [[1 if j <= i else 0 for j in range(8)] for i in range(8)]
+BIDIAGONAL8 = [[int(j in (i - 1, i)) for j in range(8)] for i in range(8)]
 
 
 def skew_copies(count: int) -> dict:
@@ -748,8 +750,9 @@ def test_cli_bad_param_value_exit_2(kind, overrides, field, tmp_path, capsys):
 # recursion reaches H^(order-1) derivatives of the window; decompose holds
 # an atoms x window matrix and an atoms x atoms Gram; an interpolation case
 # draws ell points of its dimension; correlate builds every term
-# combination (4 observables of 20 terms: 160,000), samples the slot maps
-# D + 1 times (8 maps of dimension 8 at degree 4: D = 256) and the numeric
+# combination (4 observables of 20 terms: 160,000; 2 of 89 terms in dimension
+# 8 at degree 4, each combination through D + 1 = 33 samples), samples the
+# slot maps D + 1 times (8 maps of dimension 8 at degree 4: D = 32) and the numeric
 # engine evaluates every term at every grid cell (2 x 64 terms on 2^24
 # cells); vdc-check reads the window once per shift; random-density draws
 # one number per candidate up to the window's end
@@ -796,6 +799,12 @@ def test_cli_bad_param_value_exit_2(kind, overrides, field, tmp_path, capsys):
     ("gowers", {"target": {"kind": "corpus", "family": "C", "ell": 4,
                            "index": 999, "count": 1000}, "order": 2}, 2,
      "target.index"),
+    ("correlate", {"system": {"dimension": 8, "transformations": [
+        {"matrix": BIDIAGONAL8, "alpha": [0.25] + [0] * 7},
+        {"matrix": BIDIAGONAL8, "alpha": [0.25] + [0] * 6 + [0.5]}]},
+        "observables": [[{"k": [k] + [0] * 6 + [1]} for k in range(1, 90)],
+                        [{"k": [-k] + [0] * 6 + [-1]} for k in range(1, 90)]],
+        "iterates": [[[0, 0, 0, 0, 1], [0, 1, 0, 0, 1]]] * 2}, 1, "observables"),
 ])
 def test_cli_corpus_over_budget_exit_3(kind, params, end, field, tmp_path,
                                        capsys):
@@ -811,25 +820,26 @@ def test_cli_corpus_over_budget_exit_3(kind, params, end, field, tmp_path,
 
 ROTATION_TERMS = [[{"k": [k]} for k in range(1, 65)],
                   [{"k": [-k]} for k in range(1, 65)]]
-# 8 copies of a unipotent map of dimension 3 at 8 slots: the slot-0 iterate
-# degrees sum to 21, so D = 3 * 21 and the samples take 8 x 8 x 64 x 4^3
-# exact products, charged 64 cells each
-J3_SYSTEM = {"dimension": 3, "transformations": [
-    {"matrix": [[1, 0, 0], [1, 1, 0], [0, 1, 1]], "alpha": [0.25, 0, 0]}] * 8}
-J3_ITERATES = [[[0] * degree + [1]] + [[0, 1]] * 7
-               for degree in (4, 4, 4, 4, 4, 1, 0, 0)]
-J3_PARAMS = {"system": J3_SYSTEM, "observables": [[{"k": [0, 0, 1]}]] * 8,
-             "iterates": J3_ITERATES}
+# 8 copies of a unipotent map of dimension 7 at 8 slots of degree-1
+# iterates: D = 7, so the samples take 8 x 8 x 8 x 8^3 exact products,
+# charged 64 cells each; one iterate of degree 2 makes D = 14
+J7_SYSTEM = {"dimension": 7, "transformations": [
+    {"matrix": [[int(j in (i - 1, i)) for j in range(7)] for i in range(7)],
+     "alpha": [0.25] + [0] * 6}] * 8}
+J7_ITERATES = [[[0, 1]] * 8] * 8
+J7_PARAMS = {"system": J7_SYSTEM, "observables": [[{"k": [0] * 6 + [1]}]] * 8,
+             "iterates": J7_ITERATES}
 
 
 # each at exactly DEFAULT_QUAD_BUDGET cells, and just over it with the
 # overrides: 64^2 and 16^3 derivatives of 4,096 points, a Gram of 4,096^2
 # and an atom matrix of 4,096 x 4,096, 2,048 interpolation cases of 8 x 896
 # + 1,024 cells and one case of 8 x (2^21 - 128) + 1,024 (over it, one case is
-# refused naming its dimension), 64^2 term combinations of 2,048 + 2,048 cells, 2,048 shifts of 8,192 points, 2^13 grid cells on 2^10
-# points for 2 terms, 2^18 exact products of the slot samples, 2^24
-# random-density draws, and 256 class candidates or corpus entries of
-# 32,768 + 32,768 cells
+# refused naming its dimension), 64^2 term combinations of 1,536 + 2,048 +
+# 128 x 2 x 2 cells (dimension 1, D = 1), 2,048 shifts of 8,192 points, 2^13
+# grid cells on 2^10 points for 2 terms, 2^18 exact products of the slot
+# samples, 2^24 random-density draws, and 256 class candidates or corpus
+# entries of 32,768 + 32,768 cells
 WORK_EDGES = [
     ("gowers", {"target": {"kind": "noise"}, "order": 3, "H": 64}, 4096,
      {"H": 65}),
@@ -843,15 +853,15 @@ WORK_EDGES = [
      {"dictionary": {"step": 1, "Q": 4097}}),
     ("interpolate-check", {"cases": 2048, "ell": 8, "dimension": 896}, 8,
      {"cases": 2049}),
-    ("correlate", dict(ROTATIONS, observables=ROTATION_TERMS), 2048,
+    ("correlate", dict(ROTATIONS, observables=ROTATION_TERMS), 1536,
      {"observables": [ROTATION_TERMS[0] + [{"k": [65]}], ROTATION_TERMS[1]]}),
     ("vdc-check", {"target": {"kind": "noise"}, "H": 2048}, 8192, {"H": 2049}),
     ("interpolate-check", {"cases": 1, "ell": 8, "dimension": 2**21 - 128}, 8,
      {"dimension": 2**21 - 127}),
     ("correlate", dict(ROTATIONS, engine="numeric", grid=8192), 1024,
      {"grid": 8193}),
-    ("correlate", J3_PARAMS, 16,
-     {"iterates": J3_ITERATES[:6] + [[[0, 1]] * 8] + J3_ITERATES[7:]}),
+    ("correlate", J7_PARAMS, 16,
+     {"iterates": [[[0, 0, 1]] + [[0, 1]] * 7] + J7_ITERATES[1:]}),
     ("subsequence-average", {"target": {"kind": "constant"},
                              "subsequence": {"kind": "random-density",
                                              "density": 0.5},

@@ -32,8 +32,8 @@ from nilseqlab import (
     required_grid_size,
     single_map_query,
     skew_spike_query,
-    validate_system,
 )
+from nilseqlab import systems
 from nilseqlab._exact import frac_part
 from nilseqlab.systems import (
     FREQUENCY_GUARD,
@@ -43,6 +43,7 @@ from nilseqlab.systems import (
     generalized_binomial,
     map_power,
     poly_eval,
+    sample_degree,
 )
 
 SKEW = ((1, 0), (1, 1))
@@ -108,41 +109,52 @@ def test_map_power_matches_repeated_composition():
 
 
 def test_validate_rotations_commute():
-    report = validate_system(
-        rotation_system(math.sqrt(2) - 1, math.sqrt(3) - 1)
-    )
-    assert report.valid and report.violations == ()
+    system = rotation_system(math.sqrt(2) - 1, math.sqrt(3) - 1)
+    assert len(system.transformations) == 2
 
 
 def test_validate_skew_and_rotation_commute():
     skew = ToralMap(SKEW, (0.345, 0.0))
     rot = ToralMap(((1, 0), (0, 1)), (0.0, 0.271))
-    report = validate_system(AffineToralSystem(2, (skew, rot)))
-    assert report.valid
+    assert AffineToralSystem(2, (skew, rot)).transformations == (skew, rot)
 
 
 def test_validate_rejects_non_unipotent():
-    report = validate_system(AffineToralSystem.from_pairs(1, [(((2,),), (0.1,))]))
-    assert not report.valid
-    assert "not unipotent" in report.violations[0]
+    with pytest.raises(ValueError, match=r"^invalid system: transformation 0: "
+                                         r"matrix is not unipotent$"):
+        AffineToralSystem.from_pairs(1, [(((2,),), (0.1,))])
 
 
 def test_validate_rejects_non_commuting():
     # two skews along different axes do not commute
     a = ToralMap(((1, 0), (1, 1)), (0.0, 0.0))
     b = ToralMap(((1, 1), (0, 1)), (0.0, 0.0))
-    report = validate_system(AffineToralSystem(2, (a, b)))
-    assert not report.valid
-    assert any("do not commute" in v for v in report.violations)
+    with pytest.raises(ValueError, match=r"pair \(0, 1\): matrices do not commute"):
+        AffineToralSystem(2, (a, b))
 
 
 def test_validate_rejects_incompatible_shifts():
     # same matrices (commute) but translations violate the affine condition
     skew1 = ToralMap(SKEW, (0.3, 0.0))
     skew2 = ToralMap(SKEW, (0.45, 0.0))
-    report = validate_system(AffineToralSystem(2, (skew1, skew2)))
-    assert not report.valid
-    assert any("affine parts differ" in v for v in report.violations)
+    with pytest.raises(ValueError, match=r"pair \(0, 1\): affine parts differ mod 1"):
+        AffineToralSystem(2, (skew1, skew2))
+
+
+def test_validate_names_every_violation():
+    # map 1 is not unipotent, pair (0, 3) differs mod 1, no other pair commutes
+    maps = [ToralMap(SKEW, (0.3, 0.0)), ToralMap(((2, 0), (0, 1)), (0.0, 0.0)),
+            ToralMap(((1, 1), (0, 1)), (0.0, 0.0)), ToralMap(SKEW, (0.45, 0.0))]
+    with pytest.raises(ValueError) as info:
+        AffineToralSystem(2, tuple(maps))
+    assert str(info.value) == (
+        "invalid system: transformation 1: matrix is not unipotent; "
+        "pair (0, 1): matrices do not commute; "
+        "pair (0, 2): matrices do not commute; "
+        "pair (0, 3): affine parts differ mod 1; "
+        "pair (1, 2): matrices do not commute; "
+        "pair (1, 3): matrices do not commute; "
+        "pair (2, 3): matrices do not commute")
 
 
 def test_correlate_rotations_closed_form():
@@ -198,10 +210,10 @@ def test_correlate_sup_bound_holds():
 
 
 def test_correlate_requires_valid_system():
-    bad = AffineToralSystem.from_pairs(1, [(((2,),), (0.1,))])
-    q = diagonal_query(bad, [character((1,))])
+    # no query, so no correlation, can hold a map that is not unipotent
     with pytest.raises(ValueError, match="invalid system"):
-        correlate_exact(q, Window(0, 4))
+        diagonal_query(AffineToralSystem.from_pairs(1, [(((2,),), (0.1,))]),
+                       [character((1,))])
 
 
 def test_conjugation_invariance_zero_charge_query():
@@ -283,6 +295,24 @@ def test_numeric_budget_error():
     q = diagonal_query(rotation_system(0.1), [character((1,))])
     with pytest.raises(BudgetError, match="budget"):
         correlate_numeric(q, Window(0, 64), QuadratureSpec(2**18 + 1))
+    # 2^24 cells over the window, for 2 x 64 terms: each term is evaluated at
+    # every cell (this query ran 26.7 s when only cells were counted)
+    q = diagonal_query(rotation_system(0.25, 0.5), [
+        TrigObservable(tuple(((k,), 1.0) for k in range(1, 65))),
+        TrigObservable(tuple(((-k,), 1.0) for k in range(1, 65)))])
+    with pytest.raises(BudgetError, match=r"\* terms = 2147483648 exceeds"):
+        correlate_numeric(q, Window(0, 1024), QuadratureSpec(2**14))
+
+
+def test_numeric_correlation_builds_its_structure_once(monkeypatch):
+    calls = []
+    build = systems.correlation_structure
+    monkeypatch.setattr(systems, "correlation_structure",
+                        lambda q: calls.append(q) or build(q))
+    q = diagonal_query(rotation_system(0.2137, 0.731),
+                       [character((1,)), character((-1,))])
+    correlate_numeric(q, Window(0, 8), QuadratureSpec(8))
+    assert len(calls) == 1
 
 
 def test_numeric_constant_observables():
@@ -348,7 +378,6 @@ def _guard_frequency(freq):
 def _correlate_per_n(q: CorrelationQuery, w: Window) -> Signal:
     """For each n, push every term through the exact slot maps, enumerate
     the term combinations and keep those whose total frequency vanishes."""
-    q.require_valid()
     values = np.zeros(w.length, dtype=np.complex128)
     term_lists = [obs.terms for obs in q.observables]
     for idx, n in enumerate(range(w.start, w.end)):
@@ -383,7 +412,6 @@ def _correlate_per_n(q: CorrelationQuery, w: Window) -> Signal:
 
 
 def _grid_size_per_n(q: CorrelationQuery, w: Window) -> int:
-    q.require_valid()
     worst = 1
     term_lists = [obs.terms for obs in q.observables]
     for n in range(w.start, w.end):
@@ -626,6 +654,27 @@ def test_frequency_guard_past_a_loose_bound(offset):
         (((-offset * 2**120, 2**120),),),
     )
     _assert_matches_oracle(q, Window(1000, 1002))
+
+
+def test_slot_maps_of_two_commuting_matrices_at_degree_d_max_deg():
+    # A and A^2 (the map T and T^2) in dimension 3, both at degree-2 iterates
+    # in slot 0: the slot map is T^m with m(n) = 3n^2 + n + 2, whose last shift
+    # component C(m, 3) alpha_0 has degree 6 = d max deg in n, sample_degree
+    # exactly.  Slot 1 is the identity; its two terms put spikes at n = -3
+    # (m = 26) and n = 7 (m = 156), off the samples n = 0..6
+    t = ToralMap(((1, 0, 0), (1, 1, 0), (0, 1, 1)), (0.375, 0.0, 0.0))
+    square, shift = _split(map_power(t, 2))
+    system = AffineToralSystem(3, (t, ToralMap(square, [s % 1 for s in shift])))
+    spikes = [(-math.comb(m, 2), -m, -1) for m in (26, 156)]
+    q = CorrelationQuery(
+        system,
+        (TrigObservable((((0, 0, 1), 0.3 + 0.7j), ((1, 0, 0), 1.0))),
+         TrigObservable(tuple((k, -0.61 + 0.25j) for k in spikes))),
+        (((0, 1, 1), (0,)), ((1, 0, 1), (0,))))
+    assert sample_degree(q) == 6
+    w = Window(-8, 8)
+    assert correlation_structure(q).spikes(w) == (-3, 7)
+    _assert_matches_oracle(q, w)
 
 
 def test_correlation_structure_split():

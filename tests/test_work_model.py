@@ -281,14 +281,15 @@ def kind_params(draw, kind: str, start: int, end: int, csv_dir: Path) -> dict:
             st.one_of(st.integers(1, length), sizes(low=1)), min_size=1, max_size=4)))
     elif kind == "correlate":
         rng = draw(st.randoms(use_true_random=False))
-        # a large system with one term an observable shows a slot-map sample
-        # build left out of the model; many terms, the term combinations; a
-        # grid at the engine's own bound, the numeric engine's terms
+        # a large system with many slots of one term shows a slot-map sample
+        # build left out of the model (a slot's samples take at most 80 ms
+        # within the caps); many terms, the term combinations; a grid at the
+        # engine's own bound, the numeric engine's terms
         shape = draw(st.sampled_from(("large", "many terms", "grid", "any")))
         system = unipotent_system(draw, rng, shape)
         d, maps = system["dimension"], len(system["transformations"])
         if shape == "large":
-            slots, terms = draw(st.integers(3, 4)), 1
+            slots, terms = draw(st.integers(3, 64)), 1
         elif shape == "grid":
             slots, terms = 1, draw(st.integers(8, 64))
         elif shape == "many terms":
