@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Iterable, Sequence, Tuple
 
 import numpy as np
 
@@ -43,7 +43,7 @@ def mod1(values: np.ndarray) -> np.ndarray:
 
 
 def poly_phase_fracs(coefficients: Sequence[float], ns: np.ndarray,
-                     rows: Optional[dict] = None) -> np.ndarray:
+                     rows: dict) -> np.ndarray:
     """Fractional parts of ``p(n) = sum_k c_k n^k``, each term reduced exactly.
 
     ``coefficients[k]`` multiplies ``n^k``.  Terms are reduced mod 1
@@ -54,7 +54,6 @@ def poly_phase_fracs(coefficients: Sequence[float], ns: np.ndarray,
     the same either way.
     """
     ns = np.asarray(ns, dtype=np.int64)
-    rows = {} if rows is None else rows
     total = np.zeros(len(ns), dtype=float)
     for k, c in enumerate(coefficients):
         if c == 0.0:

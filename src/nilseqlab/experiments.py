@@ -90,6 +90,19 @@ def _config_real(value, where: str, positive: bool = False,
     raise ConfigError(f"{where}: must be a finite number{rule}, got {value!r}")
 
 
+@contextlib.contextmanager
+def _refused_as(field: str, errors=(KeyError, TypeError, ValueError)):
+    """Refuse a library error raised in the block as a config error naming
+    ``field``: a ``ConfigError`` passes unchanged, any other exception in
+    ``errors`` becomes ``ConfigError(f"{field}: {exc}")``, chained from it."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except errors as exc:
+        raise ConfigError(f"{field}: {exc}") from exc
+
+
 @dataclass(frozen=True)
 class ExperimentKind:
     """Schema, parser and CLI entry of one experiment kind.
@@ -153,10 +166,8 @@ def config_from_dict(raw: Mapping, source: str = "<config>") -> ExperimentConfig
     _require_keys(win, ("start", "end"), ("start", "end"), f"{source}.window")
     start, end = (_config_int(win[k], f"{source}.window.{k}")
                   for k in ("start", "end"))
-    try:
+    with _refused_as(f"{source}.window"):
         window = Window(start, end)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{source}.window: {exc}") from exc
     seed = _config_int(raw.get("seed", 0), f"{source}.seed", low=0)
     spec = KINDS[kind]
     where = f"{source}.params"
@@ -511,31 +522,29 @@ MAX_MAPS = 8
 def _system_from_config(raw: Mapping, where: str) -> AffineToralSystem:
     _require_keys(raw, ("dimension", "transformations"),
                   ("dimension", "transformations"), where)
-    try:
-        dimension = _config_int(raw["dimension"], "dimension")
+    field = f"{where}.transformations"
+    with _refused_as(where):
+        dimension = _config_int(raw["dimension"], f"{where}.dimension")
         if dimension > MAX_DIMENSION:
             raise ValueError(f"dimension exceeds {MAX_DIMENSION}")
         if len(raw["transformations"]) > MAX_MAPS:
             raise ValueError(f"more than {MAX_MAPS} transformations")
         for t in raw["transformations"]:
-            _require_keys(t, ("matrix", "alpha"), ("matrix", "alpha"),
-                          "transformations")
+            _require_keys(t, ("matrix", "alpha"), ("matrix", "alpha"), field)
         maps = tuple(
-            ToralMap(tuple(tuple(_config_int(v, "matrix") for v in row)
+            ToralMap(tuple(tuple(_config_int(v, f"{field}.matrix") for v in row)
                            for row in t["matrix"]),
-                     tuple(_config_real(x, "alpha", signed=True)
+                     tuple(_config_real(x, f"{field}.alpha", signed=True)
                            for x in t["alpha"]))
             for t in raw["transformations"]
         )
         return AffineToralSystem(dimension, maps)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
 
 
 def _query_from_params(params: Mapping, where: str) -> CorrelationQuery:
     system = _system_from_config(params["system"], f"{where}.system")
-    terms = field = f"{where}.observables"
-    try:
+    terms = f"{where}.observables"
+    with _refused_as(terms):
         for term in (term for obs in params["observables"] for term in obs):
             _require_keys(term, ("k", "re", "im"), ("k",), terms)
         observables = tuple(
@@ -548,16 +557,13 @@ def _query_from_params(params: Mapping, where: str) -> CorrelationQuery:
             for obs in params["observables"]
         )
         check_observables(system, observables)  # the query then checks iterates
-        field = f"{where}.iterates"
+    field = f"{where}.iterates"
+    with _refused_as(field):
         iterates = tuple(
             tuple(tuple(_config_int(c, field) for c in poly) for poly in row)
             for row in params["iterates"]
         )
         return CorrelationQuery(system, observables, iterates)
-    except ConfigError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"{field}: {exc}") from exc
 
 
 def _gowers_params(params: dict, window: Window, where: str,
@@ -590,11 +596,9 @@ def _parse_correlate(params: dict, window: Window, where: str, work: dict):
     if engine == "numeric":
         if "grid" not in params:
             raise ConfigError(f"{where}.grid: required for the numeric engine")
-        grid = _config_int(params["grid"], f"{where}.grid")
-        try:
+        with _refused_as(f"{where}.grid"):
+            grid = _config_int(params["grid"], f"{where}.grid")
             quadrature = QuadratureSpec(grid)
-        except ValueError as exc:
-            raise ConfigError(f"{where}.grid: {exc}") from exc
     query = _query_from_params(params, where)
     d, maps = query.system.dimension, len(query.system.transformations)
     terms = [len(obs.terms) for obs in query.observables]
@@ -630,31 +634,31 @@ def _parse_decompose(params: dict, window: Window, where: str, work: dict):
     _require_keys(dic, ("step", "degrees", "Q", "include_brackets", "ridge",
                         "budget"), ("step", "Q"), where)
     brackets, ridge = dic.get("include_brackets", False), dic.get("ridge")
-    try:
+    with _refused_as(where):
         if not isinstance(brackets, bool):
-            raise ConfigError(f"include_brackets: must be true or false, "
-                              f"got {brackets!r}")
+            raise ConfigError(f"{where}.include_brackets: must be true or "
+                              f"false, got {brackets!r}")
         dictionary = DictionarySpec(
-            step=_config_int(dic["step"], "step"),
-            degrees=(tuple(_config_int(k, "degrees") for k in dic["degrees"])
+            step=_config_int(dic["step"], f"{where}.step"),
+            degrees=(tuple(_config_int(k, f"{where}.degrees") for k in dic["degrees"])
                      if "degrees" in dic else None),
-            freq_resolution=_config_int(dic["Q"], "Q"),
+            freq_resolution=_config_int(dic["Q"], f"{where}.Q"),
             include_brackets=brackets,
-            ridge=None if ridge is None else _config_real(ridge, "ridge"),
-            budget=_config_int(dic.get("budget", 4096), "budget"),
+            ridge=None if ridge is None else _config_real(ridge, f"{where}.ridge"),
+            budget=_config_int(dic.get("budget", 4096), f"{where}.budget"),
         )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
     atoms = dictionary.atom_count()  # the larger of the atom matrix and Gram
+    if atoms > dictionary.budget:  # as build_dictionary would, at run time
+        raise BudgetError(f"{where}.budget: dictionary would hold {atoms} "
+                          f"atoms, budget is {dictionary.budget}")
     work[where] = atoms * max(atoms, window.length)
 
     def run(seed: int, target: Signal) -> dict:
-        try:  # known only once the target and atoms are built
+        # known only once the target and atoms are built: the target's
+        # sup-norm, and a singular Gram (a LinAlgError is a ValueError)
+        with _refused_as("params.target", (ValueError,)), \
+                _refused_as("params.dictionary.ridge", (np.linalg.LinAlgError,)):
             report = decompose(target, epsilon, dictionary, gowers)
-        except np.linalg.LinAlgError as exc:  # a singular Gram
-            raise ConfigError(f"params.dictionary.ridge: {exc}") from exc
-        except ValueError as exc:  # the target's sup-norm
-            raise ConfigError(f"params.target: {exc}") from exc
         return {"decomposition.json": report.to_json_dict(),
                 "a_st.csv": report.a_st, "a_er.csv": report.a_er}
     return run
@@ -727,24 +731,20 @@ def _parse_class_distance(params: dict, window: Window, where: str, work: dict):
 
 
 def _parse_subsequence(params: dict, window: Window, where: str, work: dict):
-    try:
+    with _refused_as(f"{where}.checkpoints", (TypeError,)):
         checkpoints = [_config_int(c, f"{where}.checkpoints")
                        for c in params["checkpoints"]]
-    except TypeError as exc:
-        raise ConfigError(f"{where}.checkpoints: {exc}") from exc
     if not checkpoints or min(checkpoints) < 1:
         raise ConfigError(f"{where}.checkpoints: must be positive integers")
     where, raw = f"{where}.subsequence", params["subsequence"]
     _require_keys(raw, ("kind", "q", "r", "density"), ("kind",), where)
     density = raw.get("density")
-    try:
+    with _refused_as(where):
         spec = SubsequenceSpec(
-            kind=raw["kind"], q=_config_int(raw.get("q", 1), "q"),
-            r=_config_int(raw.get("r", 0), "r"),
+            kind=raw["kind"], q=_config_int(raw.get("q", 1), f"{where}.q"),
+            r=_config_int(raw.get("r", 0), f"{where}.r"),
             density=(None if density is None
-                     else _config_real(density, "density", positive=True)))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
+                     else _config_real(density, f"{where}.density", positive=True)))
     qN = spec.q * max(checkpoints)  # arithmetic terms run up to qN + r
     if spec.kind == "arithmetic" and not (qN < 2**63 and -2**63 <= spec.r < 2**63 - qN):
         raise ConfigError(f"{where}: q*N + r must fit in int64 for N <= "
@@ -753,10 +753,9 @@ def _parse_subsequence(params: dict, window: Window, where: str, work: dict):
         work[where] = max(window.end - 1, 0)
 
     def run(seed: int, target: Signal) -> dict:
-        try:
+        # a csv target may end before the window
+        with _refused_as("params.subsequence", (ValueError,)):
             table = subsequence_average(target, spec, checkpoints, seed=seed)
-        except ValueError as exc:  # a csv target may end before the window
-            raise ConfigError(f"params.subsequence: {exc}") from exc
         rows = [["N", "re", "im"]]
         rows += [[int(n), repr(v.real), repr(v.imag)]
                  for n, v in zip(table.checkpoints, table.averages)]
@@ -818,8 +817,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Union[str, Path, None] = None
     those it wrote on a miss, those listed on a hit.  The output directory is
     made only after the kind has run, so a refused run leaves none.  Every
     config check runs at load; after it a run is refused only by a csv read,
-    the decompose sup-norm and ridge checks, numeric aliasing and budget
-    errors, or an exhausted subsequence.
+    the decompose sup-norm and ridge checks, numeric aliasing, the 2^127
+    frequency guard of the correlation engines, or an exhausted subsequence.
     """
     out_dir = Path(out_dir) if out_dir else Path.cwd()
     digest = cfg.digest()
@@ -832,10 +831,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Union[str, Path, None] = None
         rng = np.random.default_rng(cfg.seed)  # one stream, in param order
         signals = {}
         for name, build in cfg.builders.items():
-            try:
+            with _refused_as(f"params.{name}", (ValueError,)):
                 signals[name] = build_signal(build, rng, cfg.seed)
-            except ValueError as exc:
-                raise ConfigError(f"params.{name}: {exc}") from exc
         artifacts = cfg.run(cfg.seed, **signals)
         names = sorted([*artifacts, "manifest.json"])
 

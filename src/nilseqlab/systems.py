@@ -32,7 +32,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
 from typing import Sequence, Tuple, Union
 
 import numpy as np
@@ -298,6 +298,13 @@ class CorrelationQuery:
         object.__setattr__(self, "observables", obs)
         object.__setattr__(self, "iterates", iters)
 
+    @cached_property
+    def samples(self) -> tuple:
+        """The exact slot maps (:func:`_slot_affines`) at ``n = 0..D``
+        (:func:`sample_degree`), computed on first use."""
+        return tuple(_slot_affines(self, n)
+                     for n in range(sample_degree(self) + 1))
+
 
 def diagonal_query(system: AffineToralSystem,
                    observables: Sequence[TrigObservable]) -> CorrelationQuery:
@@ -401,7 +408,7 @@ class CorrelationStructure:
 
 
 def sample_degree(q: CorrelationQuery) -> int:
-    """The D of :func:`_slot_samples`: ``D = d max_{i,j} deg p[i][j]``.
+    """The D of a query's ``samples``: ``D = d max_{i,j} deg p[i][j]``.
 
     A slot map ``prod_i T_i^{p[i][j](n)}`` is the sum over ``k_1, k_2, ...``
     of ``prod_i C(p[i][j](n), k_i) K_i^(k_i)`` with ``K_i = M_i - I``
@@ -417,19 +424,14 @@ def sample_degree(q: CorrelationQuery) -> int:
         0, *(len(poly) - 1 for row in q.iterates for poly in row))
 
 
-def _slot_samples(q: CorrelationQuery) -> tuple:
-    """The exact slot maps (:func:`_slot_affines`) at ``n = 0..D``."""
-    return tuple(_slot_affines(q, n) for n in range(sample_degree(q) + 1))
-
-
 def correlation_structure(q: CorrelationQuery) -> CorrelationStructure:
     """Atoms and spike candidates of the query, computed once for all n.
 
-    Every pushed frequency and phase is interpolated from
-    :func:`_slot_samples`.  A combination whose total frequency vanishes at
-    all the samples vanishes identically.
+    Every pushed frequency and phase is interpolated from the query's
+    ``samples``.  A combination whose total frequency vanishes at all the
+    samples vanishes identically.
     """
-    samples = _slot_samples(q)
+    samples = q.samples
     d = q.system.dimension
     slots = []
     pushed: list[ExactPoly] = []
@@ -504,8 +506,8 @@ def required_grid_size(q: CorrelationQuery, w: Window) -> int:
     return worst + 1
 
 
-def correlate_numeric(q: CorrelationQuery, w: Window, quad: QuadratureSpec,
-                      allow_aliased: bool = False) -> Signal:
+def correlate_numeric(q: CorrelationQuery, w: Window,
+                      quad: QuadratureSpec) -> Signal:
     """Correlation sequence by grid quadrature of the raw integrand.
 
     Grid points are pushed through the affine maps (integer arithmetic for
@@ -513,9 +515,8 @@ def correlate_numeric(q: CorrelationQuery, w: Window, quad: QuadratureSpec,
     points.  Refuses more than ``DEFAULT_QUAD_BUDGET`` term evaluations,
     ``G^d`` grid cells for every point of the window and every term of every
     observable (the cells a config load charges), and grids below the
-    aliasing threshold unless ``allow_aliased=True`` is passed explicitly.
-    Every value equals the per-n quadrature (one ``np.exp`` row per n) bit
-    for bit.
+    aliasing threshold.  Every value equals the per-n quadrature (one
+    ``np.exp`` row per n) bit for bit.
 
     The window runs in blocks of ``max(1, BLOCK_CELLS // G^d)`` rows of
     ``G^d`` cells; larger blocks cost memory without saving time (blocks of
@@ -554,14 +555,14 @@ def correlate_numeric(q: CorrelationQuery, w: Window, quad: QuadratureSpec,
         raise BudgetError(f"quadrature cost G^d * |window| * terms = {cost} "
                           f"exceeds budget {DEFAULT_QUAD_BUDGET}")
     needed = required_grid_size(q, w)
-    if G < needed and not allow_aliased:
+    if G < needed:
         raise AliasingError(
             f"grid size {G} would alias this query; need at least {needed}"
         )
     # each slot's matrix mod G, (n, d, d), and shift mod 1, (n, d), over the
     # whole window, from the exact slot maps interpolated as polynomials in n
     ns = w.indices()
-    samples = _slot_samples(q)
+    samples = q.samples
     mats, shifts = [], []
     for j in range(len(q.observables)):
         mats.append(np.moveaxis(np.array([

@@ -401,6 +401,17 @@ def test_cli_budget_error_exit_3(tmp_path, capsys):
     assert "budget error" in capsys.readouterr().err
 
 
+def test_dictionary_over_its_budget_is_refused_at_load():
+    # 64^2 = 4,096 atoms over a budget of 1,000: refused before the target
+    # is built, where decompose refused it once the target was built
+    raw = base_config("decompose", {
+        "target": {"kind": "noise"}, "order": 2, "epsilon": 0.1,
+        "dictionary": {"step": 2, "Q": 64, "budget": 1000}})
+    with pytest.raises(BudgetError, match=r"^<config>\.params\.dictionary\.budget: "
+                                          r"dictionary would hold 4096 atoms"):
+        config_from_dict(raw)
+
+
 def test_cli_missing_config_file_exit_2(tmp_path, capsys):
     code = cli_main(["gowers", "--config", str(tmp_path / "absent.json")])
     assert code == 2
@@ -493,6 +504,25 @@ def test_window_and_system_checks_run_at_load(kind, overrides, field):
     params, end = KIND_CONFIGS[kind]
     with pytest.raises(ConfigError, match=rf"<config>\.params\.{field}"):
         config_from_dict(base_config(kind, dict(params, **overrides), end=end))
+
+
+@pytest.mark.parametrize("kind,overrides,field", [
+    ("correlate", {"system": {"dimension": "x", "transformations": []}},
+     "system.dimension"),
+    ("correlate", {"system": {"dimension": 1, "transformations": [
+        {"matrix": [[1.5]], "alpha": [0.25]}, {"matrix": [[1]], "alpha": [0.5]}]}},
+     "system.transformations.matrix"),
+    ("decompose", {"dictionary": {"step": 1, "Q": 1.5}}, "dictionary.Q"),
+    ("subsequence-average", {"subsequence": {"kind": "arithmetic", "q": 0.5}},
+     "subsequence.q"),
+])
+def test_refused_read_names_its_dotted_field(kind, overrides, field):
+    """A refused read inside a block names its full dotted field, with no
+    inner ``name:`` segment after the block's field."""
+    params, end = KIND_CONFIGS[kind]
+    with pytest.raises(ConfigError) as info:
+        config_from_dict(base_config(kind, dict(params, **overrides), end=end))
+    assert str(info.value).startswith(f"<config>.params.{field}: ")
 
 
 @pytest.mark.parametrize("kind", KINDS)

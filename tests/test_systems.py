@@ -276,7 +276,7 @@ def test_numeric_matches_exact_rotation():
     assert np.max(np.abs(exact.values - numeric.values)) < 1e-10
 
 
-def test_numeric_refuses_aliased_grid():
+def test_numeric_refuses_aliased_grid(monkeypatch):
     q = skew_spike_query(0.41, k1=1, k1p=59, k2=1)
     w = Window(0, 96)
     needed = required_grid_size(q, w)
@@ -286,7 +286,8 @@ def test_numeric_refuses_aliased_grid():
     exact = correlate_exact(q, w)
     good = correlate_numeric(q, w, QuadratureSpec(needed))
     assert np.max(np.abs(exact.values - good.values)) < 1e-10
-    aliased = correlate_numeric(q, w, QuadratureSpec(32), allow_aliased=True)
+    monkeypatch.setattr(systems, "required_grid_size", lambda q, w: 2)
+    aliased = correlate_numeric(q, w, QuadratureSpec(32))
     assert np.max(np.abs(exact.values - aliased.values)) > 0.5
 
 
@@ -313,6 +314,19 @@ def test_numeric_correlation_builds_its_structure_once(monkeypatch):
                        [character((1,)), character((-1,))])
     correlate_numeric(q, Window(0, 8), QuadratureSpec(8))
     assert len(calls) == 1
+
+
+def test_numeric_correlation_samples_the_slot_maps_once(monkeypatch):
+    # the grid-size check's structure and the engine's matrices and shifts
+    # read the same samples: D + 1 slot maps, where two reads made 2(D + 1)
+    calls = []
+    affines = systems._slot_affines
+    monkeypatch.setattr(systems, "_slot_affines",
+                        lambda q, n: calls.append(n) or affines(q, n))
+    q = skew_spike_query(0.37, 2, 8, 2)
+    assert sample_degree(q) == 2
+    correlate_numeric(q, Window(1, 9), QuadratureSpec(9))
+    assert calls == [0, 1, 2]
 
 
 def test_numeric_constant_observables():
@@ -606,9 +620,11 @@ def test_numeric_engine_matches_per_n_oracle(case, grid):
         required_grid_size(q, w)
     except FrequencyOverflowError:
         with pytest.raises(FrequencyOverflowError):
-            correlate_numeric(q, w, quad, allow_aliased=True)
+            correlate_numeric(q, w, quad)
         return
-    got = correlate_numeric(q, w, quad, allow_aliased=True)
+    with pytest.MonkeyPatch.context() as mp:  # any grid, aliased or not
+        mp.setattr(systems, "required_grid_size", lambda q, w: 2)
+        got = correlate_numeric(q, w, quad)
     assert np.array_equal(got.values, _numeric_per_n(q, w, grid))  # bit for bit
 
 
@@ -631,10 +647,11 @@ def test_numeric_engine_floats_do_not_depend_on_workers(q, w, grid, cpus,
                                                         monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
                         raising=False)
+    monkeypatch.setattr(systems, "required_grid_size", lambda q, w: 2)
     threads, interval = threading.active_count(), sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        got = correlate_numeric(q, w, QuadratureSpec(grid), allow_aliased=True)
+        got = correlate_numeric(q, w, QuadratureSpec(grid))
     finally:
         sys.setswitchinterval(interval)
     assert threading.active_count() == threads  # no worker outlives the call

@@ -7,7 +7,9 @@
 # PARENT` copy and in the working tree and diffs their lines, then runs the
 # seed-1 `perfbench/run.py --seconds 0 --trace 0` of each workload in the
 # working tree and prints its `correct`, failed/attempted and failed
-# operations.  Exits 1 on any diff or on `correct: false`, 2 on a bad call.
+# operations, then runs the bench self-test (perfbench/tests/bench_selftest.py,
+# about 11 s) in the working tree.  Exits 1 on any diff, on `correct: false`
+# or on a failing self-test, 2 on a bad call.
 set -euo pipefail
 
 if [ $# -ne 1 ]; then
@@ -50,4 +52,14 @@ for line in lines:
 sys.exit(0 if result["correct"] else 1)
 EOF
 done
+
+if (cd "$root" && python3 -m pytest -q perfbench/tests/bench_selftest.py) \
+        > "$tmp/selftest.txt" 2>&1; then
+    echo "bench self-test: $(tail -n 1 "$tmp/selftest.txt")"
+else
+    echo "bench self-test: FAILED"
+    grep -E "^(FAILED|ERROR) |(passed|failed|error)" "$tmp/selftest.txt" \
+        | sed 's/^/  /' || true
+    status=1
+fi
 exit $status
