@@ -25,7 +25,6 @@ from .uniformity import (  # noqa: F401
 )
 from .nilmanifolds import (  # noqa: F401
     BracketPhase,
-    Dictionary,
     HeisenbergElement,
     HeisenbergObservable,
     HeisenbergOrbit,

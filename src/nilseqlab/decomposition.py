@@ -20,7 +20,7 @@ import numpy as np
 from ._threads import run_blocks
 from .errors import BudgetError
 # eval_nilsequence stays bound for perfbench's tracer self-test, which reads it
-from .nilmanifolds import (BracketPhase, Dictionary, PolynomialPhase, atom_rows,
+from .nilmanifolds import (BracketPhase, NilAtom, PolynomialPhase, atom_rows,
                            eval_nilsequence)
 from .signals import Signal, Window, density_seminorm
 from .uniformity import GowersParams, GowersReport, ghk_seminorm
@@ -73,7 +73,7 @@ class DictionarySpec:
         return 1e-8 * atom_count
 
 
-def build_dictionary(spec: DictionarySpec) -> Dictionary:
+def build_dictionary(spec: DictionarySpec) -> Tuple[NilAtom, ...]:
     """Deterministic atom enumeration; the atoms do not depend on a window.
 
     Atom order: polynomial phases in lexicographic coefficient order
@@ -96,12 +96,12 @@ def build_dictionary(spec: DictionarySpec) -> Dictionary:
         for alpha in grid:
             for cross in grid[1:]:
                 atoms.append(BracketPhase(0.0, cross, alpha, 0.0))
-    return Dictionary(tuple(atoms))
+    return tuple(atoms)
 
 
-def atom_matrix(dictionary: Dictionary, w: Window) -> np.ndarray:
+def atom_matrix(dictionary: Tuple[NilAtom, ...], w: Window) -> np.ndarray:
     """The dictionary's atoms on the window, one row each (:func:`atom_rows`)."""
-    return atom_rows(dictionary.atoms, w.indices())
+    return atom_rows(dictionary, w.indices())
 
 
 def clip_to_unit_disk(values: np.ndarray) -> np.ndarray:
@@ -239,7 +239,7 @@ def decompose(a: Signal, epsilon: float, spec: DictionarySpec,
     worst = float(np.max(corr / denom))
     delta = (epsilon / 16.0) ** (2 ** gowers.order)
     return DecompositionReport(
-        atom_labels=dictionary.labels,
+        atom_labels=tuple(atom.label for atom in dictionary),
         coefficients=coeffs,
         a_st=a_st,
         a_er=a_er,

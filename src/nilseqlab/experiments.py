@@ -818,7 +818,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Union[str, Path, None] = None
     made only after the kind has run, so a refused run leaves none.  Every
     config check runs at load; after it a run is refused only by a csv read,
     the decompose sup-norm and ridge checks, numeric aliasing, the 2^127
-    frequency guard of the correlation engines, or an exhausted subsequence.
+    frequency guard of the correlation engines, an exhausted subsequence, or
+    any ``ValueError`` of a run whose csv signal is shorter than the window.
     """
     out_dir = Path(out_dir) if out_dir else Path.cwd()
     digest = cfg.digest()
@@ -833,7 +834,11 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Union[str, Path, None] = None
         for name, build in cfg.builders.items():
             with _refused_as(f"params.{name}", (ValueError,)):
                 signals[name] = build_signal(build, rng, cfg.seed)
-        artifacts = cfg.run(cfg.seed, **signals)
+        # only a csv may cover less than the window; then a ValueError names it
+        short = [name for name, s in signals.items() if s.window != cfg.window]
+        with (_refused_as(f"params.{short[0]}", (ValueError,)) if short
+              else contextlib.nullcontext()):
+            artifacts = cfg.run(cfg.seed, **signals)
         names = sorted([*artifacts, "manifest.json"])
 
         def write(directory: Path) -> None:

@@ -72,17 +72,12 @@ def _unit_interval_shift(t: float) -> Tuple[float, int]:
 
     When t sits within half an ulp below an integer, the true remainder
     1 - eps has no rounded image in [0, 1); the closest representable point
-    below 1 is returned instead.
+    below 1 is returned instead.  That happens only for t in (-1, 0):
+    elsewhere ``t - floor(t)`` is exact, and rounding never makes it negative.
     """
     m = -math.floor(t)
     r = t + m
-    if r < 0.0:
-        m += 1
-        r = t + m
     if r >= 1.0:
-        candidate = t + (m - 1)
-        if candidate >= 0.0:
-            return candidate, m - 1
         return _BELOW_ONE, m
     return r, m
 
@@ -178,26 +173,6 @@ class HeisenbergOrbit:
 
 
 NilAtom = Union[PolynomialPhase, BracketPhase, HeisenbergOrbit]
-
-
-@dataclass(frozen=True)
-class Dictionary:
-    """Ordered collection of distinct nilsequence atoms."""
-
-    atoms: Tuple[NilAtom, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.atoms) == 0:
-            raise ValueError("dictionary must contain at least one atom")
-        if len(set(self.atoms)) != len(self.atoms):
-            raise ValueError("dictionary atoms must be distinct")
-
-    def __len__(self) -> int:
-        return len(self.atoms)
-
-    @property
-    def labels(self) -> Tuple[str, ...]:
-        return tuple(atom.label for atom in self.atoms)
 
 
 def atom_rows(atoms: Sequence[NilAtom], ns: np.ndarray) -> np.ndarray:

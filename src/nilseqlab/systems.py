@@ -32,7 +32,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache, reduce
+from functools import cached_property, reduce
 from typing import Sequence, Tuple, Union
 
 import numpy as np
@@ -118,33 +118,29 @@ class ToralMap:
     def dimension(self) -> int:
         return len(self.matrix)
 
-    def shift_fractions(self) -> Tuple[Fraction, ...]:
-        return tuple(Fraction(s) for s in self.shift)
+    @cached_property
+    def affine(self) -> Matrix:
+        """The affine matrix ``[[A, alpha], [0, 1]]`` of ``x -> A x + alpha``."""
+        rows = tuple(row + (Fraction(a),) for row, a in zip(self.matrix, self.shift))
+        return rows + ((0,) * self.dimension + (1,),)
 
-
-def _affine(tm: ToralMap) -> Matrix:
-    """The affine matrix ``[[A, alpha], [0, 1]]`` of ``x -> A x + alpha``."""
-    rows = tuple(row + (a,) for row, a in zip(tm.matrix, tm.shift_fractions()))
-    return rows + ((0,) * tm.dimension + (1,),)
-
-
-@lru_cache(maxsize=256)
-def _nilpotent_powers(tm: ToralMap) -> Tuple[Matrix, ...]:
-    """``K^0, ..., K^(d+1)`` for ``K = M - I`` of the affine matrix M."""
-    m = _affine(tm)
-    nil = tuple(tuple(v - (i == j) for j, v in enumerate(row))
-                for i, row in enumerate(m))
-    powers = [tuple(tuple(int(i == j) for j in range(len(m)))
-                    for i in range(len(m)))]
-    for _ in range(len(m)):
-        powers.append(_mat_mul(powers[-1], nil))
-    return tuple(powers)
+    @cached_property
+    def powers(self) -> Tuple[Matrix, ...]:
+        """``K^0, ..., K^(d+1)`` for ``K = M - I`` of the affine matrix M."""
+        m = self.affine
+        nil = tuple(tuple(v - (i == j) for j, v in enumerate(row))
+                    for i, row in enumerate(m))
+        powers = [tuple(tuple(int(i == j) for j in range(len(m)))
+                        for i in range(len(m)))]
+        for _ in range(len(m)):
+            powers.append(_mat_mul(powers[-1], nil))
+        return tuple(powers)
 
 
 def is_unipotent(tm: ToralMap) -> bool:
     """``K^(d+1) = 0``: A is unipotent exactly when N is nilpotent, and then
     ``N^d alpha`` vanishes too."""
-    return not any(any(row) for row in _nilpotent_powers(tm)[-1])
+    return not any(any(row) for row in tm.powers[-1])
 
 
 def map_power(tm: ToralMap, p: int) -> Matrix:
@@ -156,7 +152,7 @@ def map_power(tm: ToralMap, p: int) -> Matrix:
     through the generalized binomials.  The shift column is the
     hockey-stick sum ``sum_{k<d} C(p, k+1) N^k alpha`` by itself.
     """
-    powers = _nilpotent_powers(tm)[:-1]
+    powers = tm.powers[:-1]
     coeffs = [generalized_binomial(p, k) for k in range(len(powers))]
     size = range(len(powers[0]))
     return tuple(
@@ -193,7 +189,7 @@ class AffineToralSystem:
         violations = [f"transformation {idx}: matrix is not unipotent"
                       for idx, tm in enumerate(maps) if not is_unipotent(tm)]
         d = self.dimension
-        affines = [_affine(tm) for tm in maps]
+        affines = [tm.affine for tm in maps]
         for i, j in itertools.combinations(range(len(affines)), 2):
             ij = _mat_mul(affines[i], affines[j])
             ji = _mat_mul(affines[j], affines[i])
@@ -207,7 +203,7 @@ class AffineToralSystem:
 
     @staticmethod
     def from_pairs(dimension: int, pairs: Sequence) -> "AffineToralSystem":
-        maps = tuple(ToralMap(_as_int_matrix(m), tuple(a)) for m, a in pairs)
+        maps = tuple(ToralMap(m, tuple(a)) for m, a in pairs)
         return AffineToralSystem(dimension, maps)
 
 
@@ -635,10 +631,9 @@ class CorpusEntry:
     params: dict
 
 
-def _rotation_pair_query(alpha: float, beta: float) -> CorrelationQuery:
-    system = AffineToralSystem.from_pairs(1, [(((1,),), (alpha,)),
-                                              (((1,),), (beta,))])
-    return diagonal_query(system, [character((1,)), character((-1,))])
+def _rotations_query(alphas: Sequence[float], freqs: Sequence[int]) -> CorrelationQuery:
+    system = AffineToralSystem.from_pairs(1, [(((1,),), (a,)) for a in alphas])
+    return diagonal_query(system, [character((m,)) for m in freqs])
 
 
 def skew_spike_query(alpha: float, k1: int, k1p: int, k2: int) -> CorrelationQuery:
@@ -741,7 +736,7 @@ def _class_c_entry(ell: int, rng: np.random.Generator, w: Window,
         else:
             beta = float(rng.random())
             delta = repr((alpha - beta) % 1.0)
-        query = _rotation_pair_query(alpha, beta)
+        query = _rotations_query((alpha, beta), (1, -1))
         sig = correlate_exact(query, w)
         return CorpusEntry(
             sig,
@@ -749,11 +744,8 @@ def _class_c_entry(ell: int, rng: np.random.Generator, w: Window,
             {"alpha": alpha, "beta": beta, "difference": delta},
         )
     alphas = [float(rng.random()) for _ in range(ell)]
-    system = AffineToralSystem.from_pairs(
-        1, [(((1,),), (a,)) for a in alphas]
-    )
     ms = _zero_sum_frequencies(ell, rng)
-    query = diagonal_query(system, [character((m,)) for m in ms])
+    query = _rotations_query(alphas, ms)
     sig = correlate_exact(query, w)
     return CorpusEntry(
         sig,

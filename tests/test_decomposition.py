@@ -33,7 +33,7 @@ from nilseqlab import (
 from nilseqlab import _threads
 from nilseqlab._threads import run_blocks
 from nilseqlab.decomposition import GRAM_ROWS, _solve_projection, atom_matrix
-from nilseqlab.nilmanifolds import (BracketPhase, Dictionary, HeisenbergElement,
+from nilseqlab.nilmanifolds import (BracketPhase, HeisenbergElement,
                                     HeisenbergObservable, HeisenbergOrbit,
                                     heis_pow, heis_reduce)
 
@@ -47,14 +47,33 @@ def grid_atom(j: int, q: int) -> Signal:
 def test_build_dictionary_counts():
     d = build_dictionary(DictionarySpec(step=1, freq_resolution=4))
     assert len(d) == 4
-    assert [a.coefficients[1] for a in d.atoms] == [0.0, 0.25, 0.5, 0.75]
+    assert [a.coefficients[1] for a in d] == [0.0, 0.25, 0.5, 0.75]
 
     single = build_dictionary(DictionarySpec(step=1, freq_resolution=1))
     assert len(single) == 1
-    assert single.atoms[0].coefficients == (0.0, 0.0)
+    assert single[0].coefficients == (0.0, 0.0)
 
     two_step = build_dictionary(DictionarySpec(step=2, freq_resolution=8))
     assert len(two_step) == 64
+
+
+@pytest.mark.parametrize("spec", [
+    DictionarySpec(step=1, freq_resolution=16),
+    DictionarySpec(step=2, freq_resolution=8),
+    DictionarySpec(step=3, freq_resolution=5),
+    DictionarySpec(step=2, degrees=(1,), freq_resolution=12),
+    DictionarySpec(step=3, degrees=(1, 3), freq_resolution=6),
+    DictionarySpec(step=3, degrees=(2,), freq_resolution=7),
+    DictionarySpec(step=2, freq_resolution=6, include_brackets=True),
+    DictionarySpec(step=3, degrees=(3,), freq_resolution=4, include_brackets=True),
+    DictionarySpec(step=1, freq_resolution=1),
+])
+def test_build_dictionary_atoms_are_distinct_and_counted(spec):
+    atoms = build_dictionary(spec)
+    assert isinstance(atoms, tuple)
+    assert len(atoms) == spec.atom_count()
+    assert len(set(atoms)) == len(atoms)
+    assert len({atom.label for atom in atoms}) == len(atoms)
 
 
 def test_build_dictionary_budget():
@@ -106,11 +125,37 @@ def test_singular_gram_requires_ridge():
     # four distinct frequencies restricted to two points: rank-deficient
     w2 = Window(0, 2)
     atoms = tuple(PolynomialPhase((0.0, j / 4)) for j in range(4))
-    psi = atom_matrix(Dictionary(atoms), w2)
+    psi = atom_matrix(atoms, w2)
     target = Signal(w2, np.ones(2, dtype=complex), 1.0)
     with pytest.raises(ValueError, match="ridge"):
         _solve_projection(target, psi, 0.0)
     _solve_projection(target, psi, 1e-6)  # regularized solve succeeds
+
+
+_NEAR_CONSTANT = (PolynomialPhase((0.0,)), PolynomialPhase((0.0, 1e-7)))
+
+
+@pytest.mark.parametrize("call,error,message,cause", [
+    pytest.param(lambda: DictionarySpec(step=1, ridge=-1e-9), ValueError,
+                 "ridge must be >= 0", None, id="negative-ridge"),
+    # the Gram of two atoms 1e-7 apart on four points has a last Cholesky
+    # pivot near 5e-13 of its first: positive, but below the tolerance
+    pytest.param(lambda: _solve_projection(
+        Signal(Window(0, 4), np.ones(4, dtype=complex), 1.0),
+        atom_matrix(_NEAR_CONSTANT, Window(0, 4)), 0.0), np.linalg.LinAlgError,
+        "Gram matrix is singular; pass a ridge parameter > 0",
+        "a Cholesky pivot is below tolerance", id="cholesky-pivot"),
+    pytest.param(lambda: decompose(grid_atom(1, 4), 0.0,
+                                   DictionarySpec(step=1, freq_resolution=4),
+                                   GowersParams(order=2, shift_count=4)),
+                 ValueError, "epsilon must be positive", None, id="epsilon-0"),
+])
+def test_decomposition_refusals(call, error, message, cause):
+    with pytest.raises(error) as info:
+        call()
+    assert str(info.value) == message
+    chained = info.value.__cause__
+    assert (None if chained is None else str(chained)) == cause
 
 
 def _unimodular(w: Window, seed: int) -> Signal:
@@ -288,6 +333,17 @@ def test_blas_threads_reads_the_blas_numpy_links():
     assert counts == [1, min(2, cpus)]  # OpenBLAS runs no more than the CPUs
 
 
+def test_blas_that_cannot_be_loaded_runs_blas_blocks_inline(monkeypatch):
+    def refuse(path):
+        raise OSError(f"{path}: cannot open shared object file")
+    monkeypatch.setattr(_threads.ctypes, "CDLL", refuse)
+    assert _threads._blas_threads() == 0
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)),
+                        raising=False)
+    assert _buffers_made(8, blas=True) == 1  # it may run threads of its own
+    assert _buffers_made(8, blas=False) == 4
+
+
 def test_clip_contraction_targets_disk():
     vals = np.array([0.2 + 0.1j, 3.0, -2.0j, 1.0 + 1.0j])
     clipped = clip_to_unit_disk(vals)
@@ -461,7 +517,7 @@ _ATOM = st.one_of(
 @settings(max_examples=80, deadline=None)
 @given(st.lists(_ATOM, min_size=1, max_size=8, unique=True), oracle_windows())
 def test_atom_matrix_matches_per_atom_oracle(atoms, w):
-    psi = atom_matrix(Dictionary(tuple(atoms)), w)
+    psi = atom_matrix(tuple(atoms), w)
     expected = np.array([_atom_row(atom, w) for atom in atoms])
     assert np.array_equal(psi, expected)  # bit for bit
     for atom, row in zip(atoms, expected):
@@ -506,7 +562,7 @@ def test_atom_rows_at_the_int64_switch(atom, start, end, below):
         size = top * math.floor(Fraction(atom.alpha) * top)
     assert (size < 2**62) == below
     w = Window(start, end)
-    psi = atom_matrix(Dictionary((atom,)), w)
+    psi = atom_matrix((atom,), w)
     assert np.array_equal(psi, np.array([_atom_row(atom, w)]))  # bit for bit
     assert np.array_equal(eval_nilsequence(atom, w).values, psi[0])
 
@@ -520,7 +576,7 @@ def test_grid_dictionary_matches_per_atom_oracle(spec_args, brackets, w, seed):
                           include_brackets=brackets and step >= 2)
     dictionary = build_dictionary(spec)
     psi = atom_matrix(dictionary, w)
-    expected = np.array([_atom_row(atom, w) for atom in dictionary.atoms])
+    expected = np.array([_atom_row(atom, w) for atom in dictionary])
     assert np.array_equal(psi, expected)  # bit for bit
     # the worst atom correlation is one matrix-vector product; it sums in
     # another order than the per-row means, so it agrees to rounding, judged

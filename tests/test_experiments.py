@@ -985,6 +985,39 @@ def test_cli_decompose_unbounded_csv_target_exit_2(tmp_path, capsys):
     assert not (tmp_path / "out").exists()  # a refused run makes no --out
 
 
+_SHORT = "short"  # a 16-row csv on the window [0, 64)
+
+
+@pytest.mark.parametrize("kind,params,field,message", [
+    ("gowers", {"target": _SHORT, "order": 2, "H": 20}, "target",
+     "H=20 must be below window length 16"),
+    ("anti-uniformity", {"a": {"kind": "noise"}, "b": _SHORT, "order": 2,
+                         "H": 20}, "b", "H=20 must be below window length 16"),
+    ("anti-uniformity", {"a": _SHORT, "b": {"kind": "noise"}, "order": 2,
+                         "H": 4, "L": 60}, "a", "window intersection has 16 points, "
+                                        "fewer than L=60"),
+    ("anti-uniformity", {"a": _SHORT, "b": _SHORT, "order": 2, "H": 20}, "a",
+     "H=20 must be below window length 16"),
+    ("class-distance", {"target": _SHORT, "family": "B", "ell": 2,
+                        "budget": 3}, "target",
+     "scale too large: L=64 exceeds window length 16"),
+    ("vdc-check", {"target": _SHORT, "H": 20}, "target",
+     "need 1 <= H < N, got H=20, N=16"),
+])
+def test_cli_csv_shorter_than_window_is_refused_naming_it(
+        kind, params, field, message, tmp_path, capsys):
+    """Load checks scales and shifts against the window; a csv that ends
+    before it is read only at run time, where the check's ValueError is a
+    config error naming the csv's param."""
+    path = tmp_path / "short.csv"
+    path.write_text("n,re,im\n" + "".join(f"{n},1.0,0.0\n" for n in range(16)))
+    params = {name: {"kind": "csv", "path": str(path)} if value == _SHORT
+              else value for name, value in params.items()}
+    assert run_cli(tmp_path, base_config(kind, params, end=64)) == 2
+    assert f"params.{field}: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("descriptor", ["pipe", "stdout"])
 def test_cli_descriptor_as_csv_path_is_refused_and_left_open(
         descriptor, tmp_path, capsys):

@@ -2,16 +2,16 @@
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nilseqlab import (
     BracketPhase,
-    Dictionary,
     HeisenbergElement,
     HeisenbergObservable,
     HeisenbergOrbit,
@@ -23,6 +23,7 @@ from nilseqlab import (
     nilkey_reconstruct,
     torus_interpolate,
 )
+from nilseqlab.nilmanifolds import _BELOW_ONE, _unit_interval_shift, atom_rows
 
 
 def exact_matrix_power(g: HeisenbergElement, n: int):
@@ -253,12 +254,54 @@ def test_nilkey_reconstruct_zero_point():
         nilkey_reconstruct(PolynomialPhase((0.0, 0.1, 0.2)), 1, w)
 
 
-def test_dictionary_invariants():
-    a1 = PolynomialPhase((0.0, 0.25))
-    a2 = PolynomialPhase((0.0, 0.5))
-    d = Dictionary((a1, a2))
-    assert len(d) == 2 and d.labels[0] == a1.label
-    with pytest.raises(ValueError, match="distinct"):
-        Dictionary((a1, a1))
-    with pytest.raises(ValueError):
-        Dictionary(())
+
+_G = HeisenbergElement(0.25, 0.5, 0.0)
+
+
+@pytest.mark.parametrize("call,error,message", [
+    pytest.param(lambda: heis_pow(_G, 2**62 + 1), ValueError,
+                 "power exponent exceeds 2^62 guard", id="heis_pow-guard"),
+    pytest.param(lambda: heis_pow(_G, -2**62 - 1), ValueError,
+                 "power exponent exceeds 2^62 guard", id="heis_pow-guard-negative"),
+    pytest.param(lambda: atom_rows(
+        (HeisenbergOrbit(_G, HeisenbergObservable((1, 0))),),
+        np.array([0, 2**62 + 1], dtype=np.int64)), ValueError,
+        "power exponent exceeds 2^62 guard", id="atom_rows-guard"),
+    pytest.param(lambda: PolynomialPhase(()), ValueError,
+                 "polynomial phase supports degrees 0..3", id="poly-empty"),
+    pytest.param(lambda: PolynomialPhase((0.0,) * 5), ValueError,
+                 "polynomial phase supports degrees 0..3", id="poly-degree-4"),
+    pytest.param(lambda: PolynomialPhase((0.0, float("nan"))), ValueError,
+                 "coefficients must be finite", id="poly-nan"),
+    pytest.param(lambda: BracketPhase(0.0, float("inf"), 0.5, 0.0), ValueError,
+                 "bracket parameters must be finite", id="bracket-inf"),
+    pytest.param(lambda: atom_rows(("poly(0.5)",), np.arange(4)), TypeError,
+                 "not a nilsequence atom: 'poly(0.5)'", id="atom_rows-not-an-atom"),
+    pytest.param(lambda: nilkey_reconstruct(PolynomialPhase((0.0, 0.1)), 0,
+                                            Window(0, 4)), ValueError,
+                 "average length M must be >= 1", id="nilkey-M-0"),
+])
+def test_nilmanifold_refusals(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert str(info.value) == message
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.builds(lambda k, toward: math.nextafter(float(k), toward),  # near an integer
+              st.integers(-2**60, 2**60), st.sampled_from((-math.inf, math.inf)))))
+@example(-1e-300)
+@example(-2.0**-54)
+@example(-5e-324)
+@example(1 - 2.0**-53)
+@example(-0.0)
+def test_unit_interval_shift_rounds_once_into_the_unit_interval(t):
+    """Against exact arithmetic: ``m = -floor(t)`` and ``t + m`` rounded
+    once, or the largest float below 1 where that rounds up to 1."""
+    r, m = _unit_interval_shift(t)
+    assert m == -math.floor(t)
+    exact = float(Fraction(t) + m)
+    assert r == (exact if exact < 1.0 else _BELOW_ONE)
+    assert 0.0 <= r < 1.0

@@ -782,3 +782,53 @@ def test_corpus_unsupported_level():
         corpus_generate("C", 5, 0, Window(0, 16))
     with pytest.raises(ValueError):
         corpus_generate("D", 2, 0, Window(0, 16))
+
+
+_ROTATION = ToralMap(((1,),), (0.25,))
+_CIRCLE = AffineToralSystem(1, (_ROTATION,))
+_TWO_ROTATIONS = AffineToralSystem(1, (_ROTATION, ToralMap(((1,),), (0.5,))))
+
+
+@pytest.mark.parametrize("call,message", [
+    pytest.param(lambda: ToralMap(((1, 0),), (0.0,)),
+                 "matrix must be square", id="matrix-not-square"),
+    pytest.param(lambda: ToralMap(((1.5,),), (0.0,)),
+                 "matrix entries must be integers", id="matrix-not-integer"),
+    pytest.param(lambda: generalized_binomial(3, -1),
+                 "k must be nonnegative", id="binomial-negative-k"),
+    pytest.param(lambda: ToralMap(((1,),), (0.0, 0.0)),
+                 "shift dimension does not match matrix", id="shift-length"),
+    pytest.param(lambda: ToralMap(((1,),), (1.0,)),
+                 "shift components must lie in [0, 1)", id="shift-range"),
+    pytest.param(lambda: AffineToralSystem(0, (_ROTATION,)),
+                 "dimension must be >= 1", id="system-dimension-0"),
+    pytest.param(lambda: AffineToralSystem(1, ()),
+                 "at least one transformation required", id="system-no-maps"),
+    pytest.param(lambda: AffineToralSystem(2, (_ROTATION,)),
+                 "transformation dimension mismatch", id="system-map-dimension"),
+    pytest.param(lambda: TrigObservable(()),
+                 "observable needs at least one term", id="observable-no-terms"),
+    pytest.param(lambda: TrigObservable((((1,), 1.0), ((1, 0), 1.0))),
+                 "all frequency vectors must share one dimension",
+                 id="observable-mixed-dimensions"),
+    pytest.param(lambda: CorrelationQuery(_CIRCLE, (), ((),)),
+                 "need at least one observable", id="query-no-observables"),
+    pytest.param(lambda: CorrelationQuery(_CIRCLE, (character((1,)),), ()),
+                 "iterates must have one row per transformation (1)",
+                 id="query-iterate-rows"),
+    pytest.param(lambda: diagonal_query(_TWO_ROTATIONS, [character((1,))]),
+                 "diagonal query needs one observable per map",
+                 id="diagonal-observable-count"),
+    pytest.param(lambda: single_map_query(_TWO_ROTATIONS, [character((1,))], [1]),
+                 "single_map_query needs exactly one transformation",
+                 id="single-map-two-maps"),
+    pytest.param(lambda: single_map_query(_CIRCLE, [character((1,))], [1, 2]),
+                 "one exponent per observable required",
+                 id="single-map-exponent-count"),
+    pytest.param(lambda: corpus_generate("C", 2, 0, Window(0, 8), variant="spikes"),
+                 "unknown variant 'spikes'", id="corpus-variant"),
+])
+def test_system_refusals(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message

@@ -46,12 +46,6 @@ CHILD_BYTES = 3 << 30
 # ROADMAP item 5(a), pinned by the bench: an order outside 1..MAX_ORDER
 # reaches GowersParams unchecked and ends in this traceback
 PINNED_ORDER_DEFECT = f"ValueError: order must be in 1..{MAX_ORDER}"
-# item 5(b): a csv target shorter than its window is restricted silently, and
-# a scale or shift checked against the window then outgrows the signal in
-# class-distance, vdc-check or anti-uniformity
-SHORT_CSV_DEFECTS = ("ValueError: scale too large: L=",
-                     "ValueError: need 1 <= H < N, got H=",
-                     "ValueError: window intersection has ")
 
 _CHILD = r"""
 import json, resource, sys
@@ -318,14 +312,11 @@ def kind_params(draw, kind: str, start: int, end: int, csv_dir: Path) -> dict:
 
 
 def _pinned(raw: dict, error: str) -> bool:
-    """A traceback of a defect ROADMAP item 5 pins: an order outside
-    1..MAX_ORDER (a), or one of a csv target shorter than its window (b)."""
-    params, window = raw["params"], raw["window"]
-    if error == PINNED_ORDER_DEFECT:
-        return not 1 <= params["order"] <= MAX_ORDER
-    short = window["end"] - window["start"] > CSV_ROWS and any(
-        params[name]["kind"] == "csv" for name in KINDS[raw["kind"]].signals)
-    return short and error.startswith(SHORT_CSV_DEFECTS)
+    """The one traceback ROADMAP item 5 pins: an order outside 1..MAX_ORDER
+    (a).  A csv shorter than its window is refused with exit 2 (b)."""
+    if error != PINNED_ORDER_DEFECT:
+        return False
+    return not 1 <= raw["params"]["order"] <= MAX_ORDER
 
 
 class Overran(AssertionError):

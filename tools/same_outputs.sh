@@ -8,8 +8,10 @@
 # seed-1 `perfbench/run.py --seconds 0 --trace 0` of each workload in the
 # working tree and prints its `correct`, failed/attempted and failed
 # operations, then runs the bench self-test (perfbench/tests/bench_selftest.py,
-# about 11 s) in the working tree.  Exits 1 on any diff, on `correct: false`
-# or on a failing self-test, 2 on a bad call.
+# about 11 s) in the working tree.  Last it prints the line count of each
+# src/nilseqlab/*.py file and of all of them at PARENT and in the working
+# tree, for information only.  Exits 1 on any diff, on `correct: false` or on
+# a failing self-test, 2 on a bad call.
 set -euo pipefail
 
 if [ $# -ne 1 ]; then
@@ -62,4 +64,14 @@ else
         | sed 's/^/  /' || true
     status=1
 fi
+
+lines() { if [ -f "$1" ]; then wc -l < "$1"; else echo -; fi; }
+row() { printf '  %-32s %5s -> %5s\n' "$@"; }
+echo "src/ lines, $1 -> working tree:"
+(cd "$tmp/parent" && ls src/nilseqlab/*.py; cd "$root" && ls src/nilseqlab/*.py) \
+    | sort -u | while read -r file; do
+    row "$file" "$(lines "$tmp/parent/$file")" "$(lines "$root/$file")"
+done
+row total "$(cat "$tmp"/parent/src/nilseqlab/*.py | wc -l)" \
+    "$(cat "$root"/src/nilseqlab/*.py | wc -l)"
 exit $status
